@@ -6,14 +6,18 @@ two Floquet solutions split into a decaying and a growing mode
 
     u_pm(x) = p_pm(x) exp(mp kappa x),   p_pm 1-periodic, positive.
 
-The monodromy matrix is propagated with a fixed-step classical RK4 scheme so
-that runs are bit-reproducible; the periodic factors p_pm are integrated from
-their own first-order-damped equations in the numerically contracting
-direction, which stays well-conditioned even for kappa of order 100.
+One fixed-step RK4 propagator serves the monodromy and the Bloch factors.
+Each step of the linear ODE is a 2x2 matrix, built with numpy in chunks
+(a piecewise V gets its breakpoints as extra nodes) and multiplied pairwise
+in a fixed order, so runs are bit-reproducible.  The periodic factors p_pm
+obey their own first-order-damped equations; their products over each
+sample interval are applied in the numerically contracting direction, which
+stays well-conditioned for kappa of order 100.  spectrum_min is memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +29,7 @@ from .media import FunctionDescriptor
 
 DEFAULT_STEPS = 4096
 DEFAULT_SAMPLES = 1025
+_CHUNK = 4096   # steps per vectorized batch of step matrices
 
 
 def _step_count(V: FunctionDescriptor, lam: float, steps: int | None) -> int:
@@ -103,70 +108,73 @@ class BlochData:
         return np.interp(xf - np.floor(xf), self.x, self.p_plus)
 
 
-def _rk4_second_order(q, h, y0, dy0, damping, n_sub):
-    """Integrate y'' + damping * y' + q(x) y = 0 over a uniform grid.
+def _substeps(V: FunctionDescriptor, n: int, i0: int, i1: int, offset: float):
+    """Sub-step lengths and q = offset - V at sub-step start, middle and end for
+    steps i0..i1-1 of the uniform n-step grid, shape (i1 - i0, m).  A piecewise V
+    gets its breakpoints as nodes (zero-length sub-steps pad each step to m) and
+    q at the midpoint, so no sub-step straddles a jump or reads the next segment."""
+    if not V.is_piecewise:
+        q = offset - V(np.arange(2 * i0, 2 * i1 + 1) / (2 * n))
+        return np.full((i1 - i0, 1), 1.0 / n), q[:-1:2, None], q[1::2, None], q[2::2, None]
+    breaks = np.array([a for a, _, _ in V.segments[1:]])
+    step = np.floor(breaks * n).astype(int)
+    keep = (breaks > step / n) & (step >= i0) & (step < i1)
+    step = step[keep] - i0
+    rank = np.arange(len(step)) - np.searchsorted(step, step)
+    t = np.empty((i1 - i0, 2 + (rank.max() + 1 if len(step) else 0)))
+    t[:] = np.arange(i0 + 1, i1 + 1)[:, None] / n
+    t[:, 0] = np.arange(i0, i1) / n
+    t[step, 1 + rank] = breaks[keep]
+    q = offset - V(0.5 * (t[:, :-1] + t[:, 1:]))
+    return np.diff(t, axis=1), q, q, q
 
-    q holds coefficient values at half-step resolution (2 * n_total + 1 points
-    for n_total = n_sub * (len-1)/... computed by the caller); returns y and y'
-    sampled every n_sub steps.
-    """
-    n_total = (len(q) - 1) // 2
-    n_out = n_total // n_sub + 1
-    ys = np.empty(n_out)
-    dys = np.empty(n_out)
-    y, dy = y0, dy0
-    ys[0], dys[0] = y, dy
-    for i in range(n_total):
-        q0, qm, q1 = q[2 * i], q[2 * i + 1], q[2 * i + 2]
-        k1y = dy
-        k1v = -damping * dy - q0 * y
-        y2 = y + 0.5 * h * k1y
-        v2 = dy + 0.5 * h * k1v
-        k2y = v2
-        k2v = -damping * v2 - qm * y2
-        y3 = y + 0.5 * h * k2y
-        v3 = dy + 0.5 * h * k2v
-        k3y = v3
-        k3v = -damping * v3 - qm * y3
-        y4 = y + h * k3y
-        v4 = dy + h * k3v
-        k4y = v4
-        k4v = -damping * v4 - q1 * y4
-        y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        dy = dy + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if (i + 1) % n_sub == 0:
-            j = (i + 1) // n_sub
-            ys[j], dys[j] = y, dy
-    return ys, dys
+
+def _rk4(h, q0, qm, q1, c):
+    """Classical RK4 step matrices of y'' + c y' + q y = 0 (q = q0, qm, q1 at start,
+    middle, end), shape (..., 2, 2), expanded in h; a zero-length step is I."""
+    cc = c * c
+    s11 = 1.0 + h * h * (
+        -(q0 + 2.0 * qm) / 6.0 + h * (c * (q0 + qm) / 12.0 + h * q0 * (qm - cc) / 24.0))
+    s12 = h * (1.0 + h * (-0.5 * c + h * ((cc - qm) / 6.0 + h * c * (2.0 * qm - cc) / 24.0)))
+    s21 = h * (-(q0 + 4.0 * qm + q1) / 6.0 + h * (c * (q0 + 2.0 * qm) / 6.0 + h * (
+        ((q0 + q1) * qm - cc * (q0 + qm)) / 12.0 + h * c * q0 * (cc - qm - q1) / 24.0)))
+    s22 = 1.0 + h * (-c + h * ((3.0 * cc - q1 - 2.0 * qm) / 6.0 + h * (
+        c * (q1 + 3.0 * qm - 2.0 * cc) / 12.0 + h * (cc * (cc - q1 - 2.0 * qm) + q1 * qm) / 24.0)))
+    return np.stack([np.stack([s11, s12], -1), np.stack([s21, s22], -1)], -2)
+
+
+def _product(S):
+    """S[k-1] @ ... @ S[0] over axis -3, multiplied pairwise in a fixed order."""
+    while S.shape[-3] > 1:
+        k = S.shape[-3] // 2 * 2
+        S = np.concatenate([S[..., 1:k:2, :, :] @ S[..., 0:k:2, :, :], S[..., k:, :, :]], -3)
+    return S[..., 0, :, :]
+
+
+def _propagators(V, n, per_block, offset, damping):
+    """RK4 propagators of y'' + damping * y' + (offset - V) y = 0 across each block
+    of per_block steps of the n-step grid, (n // per_block, 2, 2), in chunks."""
+    out, per_chunk = [], max(1, _CHUNK // per_block)
+    for j0 in range(0, n // per_block, per_chunk):
+        j1 = min(n // per_block, j0 + per_chunk)
+        sub = _substeps(V, n, j0 * per_block, j1 * per_block, offset)
+        out.append(_product(_rk4(*(a.reshape(j1 - j0, -1) for a in sub), damping)))
+    return np.concatenate(out)
+
+
+def _sweep(blocks, y, v):
+    """(y, y') carried across consecutive block propagators: shape (2, blocks + 1)."""
+    out = [(y, v)]
+    for a, b, c, d in blocks.reshape(-1, 4).tolist():
+        out.append((a * out[-1][0] + b * out[-1][1], c * out[-1][0] + d * out[-1][1]))
+    return np.array(out).T
 
 
 def monodromy(V: FunctionDescriptor, lam: float, steps: int | None = None) -> MonodromyMatrix:
     """Propagate the fundamental system of -u'' + (V - lambda) u = 0 from
-    x = 0 to x = 1 with fixed-step RK4."""
+    x = 0 to x = 1: the ordered product of the RK4 step matrices."""
     n = _step_count(V, lam, steps)
-    h = 1.0 / n
-    xs = np.linspace(0.0, 1.0, 2 * n + 1)
-    q = np.asarray(V(xs), dtype=float) - lam
-    # columns (u, u') of the fundamental matrix; u'' = q u
-    a11, a21 = 1.0, 0.0   # solution with u(0)=1, u'(0)=0
-    a12, a22 = 0.0, 1.0   # solution with u(0)=0, u'(0)=1
-    for i in range(n):
-        q0, qm, q1 = q[2 * i], q[2 * i + 1], q[2 * i + 2]
-        for col in (0, 1):
-            y, dy = (a11, a21) if col == 0 else (a12, a22)
-            k1y, k1v = dy, q0 * y
-            y2, v2 = y + 0.5 * h * k1y, dy + 0.5 * h * k1v
-            k2y, k2v = v2, qm * y2
-            y3, v3 = y + 0.5 * h * k2y, dy + 0.5 * h * k2v
-            k3y, k3v = v3, qm * y3
-            y4, v4 = y + h * k3y, dy + h * k3v
-            k4y, k4v = v4, q1 * y4
-            y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            dy = dy + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if col == 0:
-                a11, a21 = y, dy
-            else:
-                a12, a22 = y, dy
+    (a11, a12), (a21, a22) = _product(_propagators(V, n, math.gcd(n, _CHUNK), lam, 0.0)).tolist()
     M = MonodromyMatrix(m11=a11, m12=a12, m21=a21, m22=a22, lam=lam)
     if not all(map(math.isfinite, (a11, a12, a21, a22))):
         raise IntegrationFailure(f"monodromy propagation diverged at lambda = {lam}")
@@ -183,26 +191,24 @@ def discriminant(V: FunctionDescriptor, lam: float, steps: int | None = None) ->
     return monodromy(V, lam, steps).trace
 
 
+@functools.lru_cache(maxsize=256)
 def spectrum_min(V: FunctionDescriptor, tol: float = 1e-10) -> float:
     """Bottom of the spectrum: the smallest lambda with discriminant equal
-    to 2, located by a scan plus root bracketing."""
+    to 2, located by a scan plus root bracketing.  Memoized per (frozen,
+    hashable) descriptor: the spectrum checks of a run repeat it."""
     sup = V.sup_norm()
     lo, hi = -sup - 10.0, sup + 10.0
     f = lambda lam: discriminant(V, lam) - 2.0
     grid = np.linspace(lo, hi, 41)
-    vals = [f(g) for g in grid]
+    vals = np.array([f(g) for g in grid])
     if vals[0] <= 0.0:
         raise BracketFailure("discriminant not above 2 at the lower search bound")
-    bracket = None
-    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-        if fa > 0.0 >= fb:
-            bracket = (a, b)
-            break
-    if bracket is None:
+    cross = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if not len(cross):
         raise BracketFailure(
             f"no discriminant sign change in [{lo}, {hi}] for the given potential"
         )
-    return float(brentq(f, *bracket, xtol=tol))
+    return float(brentq(f, grid[cross[0]], grid[cross[0] + 1], xtol=tol))
 
 
 def _eigvec(m11, m12, m21, m22, rho):
@@ -242,25 +248,19 @@ def bloch_modes(
     n_total = _step_count(V, lam, steps)
     n_sub = max(1, int(round(n_total / (samples - 1))))
     n_total = n_sub * (samples - 1)
-    h = 1.0 / n_total
-    xs2 = np.linspace(0.0, 1.0, 2 * n_total + 1)
-    Vs = np.asarray(V(xs2), dtype=float)
 
-    # mode decaying at -inf: eigenvector of M for the large multiplier;
-    # its periodic factor obeys p'' + 2 kappa p' + (kappa^2 + lam - V) p = 0,
-    # which is contracting when integrated forward.
+    # mode decaying at -inf: eigenvector of M for the large multiplier; its
+    # factor obeys p'' + 2 kappa p' + (kappa^2 + lam - V) p = 0, contracting forward
     u0, du0 = _eigvec(M.m11, M.m12, M.m21, M.m22, rho_big)
-    q_minus = kappa * kappa + lam - Vs
-    pm, dpm = _rk4_second_order(q_minus, h, u0, du0 - kappa * u0, 2.0 * kappa, n_sub)
+    blocks = _propagators(V, n_total, n_sub, kappa * kappa + lam, 2.0 * kappa)
+    pm, dpm = _sweep(blocks, u0, du0 - kappa * u0)
 
     # mode decaying at +inf: eigenvector of M^{-1} for the large multiplier
-    # (avoids cancellation in the small eigenvalue of M); its factor is
-    # integrated backward from x = 1 using periodicity, again contracting.
+    # (avoids cancellation in the small eigenvalue of M); its factor obeys the
+    # same equation in s = 1 - x, with V reflected: again contracting.
     w0, dw0 = _eigvec(M.m22, -M.m12, -M.m21, M.m11, rho_big)
-    q_plus = (kappa * kappa + lam - Vs)[::-1]
-    pp_rev, dpp_rev = _rk4_second_order(q_plus, h, w0, -(dw0 + kappa * w0), 2.0 * kappa, n_sub)
-    pp = pp_rev[::-1].copy()
-    dpp = -dpp_rev[::-1]
+    blocks = _propagators(V.reflected(), n_total, n_sub, kappa * kappa + lam, 2.0 * kappa)
+    pp, dpp = _sweep(blocks, w0, -(dw0 + kappa * w0))[:, ::-1] * [[1.0], [-1.0]]
 
     x = np.linspace(0.0, 1.0, samples)
     out = []

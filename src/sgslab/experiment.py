@@ -13,7 +13,6 @@ import csv
 import datetime
 import json
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,17 +91,21 @@ def _medium(node, where: str) -> PeriodicMedium:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def parse_config(path) -> ExperimentSpec:
-    """Read and validate a JSON experiment config, filling defaults
-    (tol 1e-8, h 0.01, domain half-width from the decay exponent)."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
+def parse_config(source) -> ExperimentSpec:
+    """Validate an experiment config, filling defaults (tol 1e-8, h 0.01,
+    domain half-width from the decay exponent).  source is the path of a
+    JSON file or an already-loaded config dict."""
+    if isinstance(source, dict):
+        cfg = source
+    else:
+        try:
+            text = Path(source).read_text()
+        except OSError as exc:
+            raise ParseError(f"cannot read config {source}: {exc}") from exc
+        try:
+            cfg = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"config {source} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParseError("config root must be a JSON object")
 
@@ -293,12 +296,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
             row_cfg.pop("base_kind", None)
             row_cfg[name] = value
             try:
-                with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-                    json.dump(row_cfg, fh)
-                    tmp = fh.name
-                row_spec = parse_config(tmp)
-                Path(tmp).unlink()
-                row_report = run_experiment(row_spec)
+                row_report = run_experiment(parse_config(row_cfg))
                 report.results.append(
                     {"row": i, name: value, "results": _strip_profiles(row_report.results)}
                 )

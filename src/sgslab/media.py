@@ -108,6 +108,8 @@ class FunctionDescriptor:
     def derivative(self, x: float, order: int = 1) -> float:
         """Pointwise derivative; piecewise descriptors are flat inside segments
         and not differentiable at breakpoints."""
+        if order not in (1, 2):
+            raise ValueError("only first and second derivatives supported")
         if self.segments:
             xf = _frac(x)
             for a, b, _ in self.segments:
@@ -119,18 +121,10 @@ class FunctionDescriptor:
         out = 0.0
         for n, a in self.cos:
             w = TWO_PI * n
-            if order == 1:
-                out += -a * w * math.sin(w * x)
-            elif order == 2:
-                out += -a * w * w * math.cos(w * x)
-            else:
-                raise ValueError("only first and second derivatives supported")
+            out += -a * w * math.sin(w * x) if order == 1 else -a * w * w * math.cos(w * x)
         for n, a in self.sin:
             w = TWO_PI * n
-            if order == 1:
-                out += a * w * math.cos(w * x)
-            elif order == 2:
-                out += -a * w * w * math.sin(w * x)
+            out += a * w * math.cos(w * x) if order == 1 else -a * w * w * math.sin(w * x)
         return out
 
     # -- algebra on descriptors ----------------------------------------------

@@ -1,9 +1,11 @@
 """Floquet analysis of the Hill operator below its spectrum."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from sgslab import bloch, oracle
 from sgslab.errors import LambdaInSpectrum
@@ -144,3 +146,83 @@ def test_p_representation_detects_corruption():
         x=bd.x,
     )
     assert bloch.verify_p_representation(corrupted, V_MATHIEU) >= 0.05
+
+
+def test_monodromy_offgrid_breakpoint_exact():
+    # Kronig-Penney cell with its jump at 0.3, off the 1/4096 step grid: the
+    # monodromy is the product of the exact segment transfer matrices
+    V = FunctionDescriptor(segments=((0.0, 0.3, -1.0), (0.3, 1.0, 3.0)))
+
+    def exact(lam):
+        M = np.eye(2)
+        for a, b, v in V.segments:
+            k, L = cmath.sqrt(v - lam), b - a
+            c, s = cmath.cosh(k * L).real, cmath.sinh(k * L)
+            M = np.array([[c, (s / k).real], [(k * s).real, c]]) @ M
+        return M
+
+    M = bloch.monodromy(V, -1.5)
+    E = exact(-1.5)
+    assert M.trace == pytest.approx(np.trace(E), rel=1e-12)
+    assert [M.m11, M.m12, M.m21, M.m22] == pytest.approx(E.ravel().tolist(), rel=1e-11)
+    bottom = brentq(lambda lam: np.trace(exact(lam)) - 2.0, 1.0, 2.5, xtol=1e-13)
+    assert bloch.spectrum_min(V) == pytest.approx(bottom, abs=1e-9)
+
+
+def test_monodromy_deep_gap_constant_closed_form():
+    # lambda = -1e4 takes 25856 steps, more than one chunk of step matrices
+    V, lam = V_CONST, -1e4
+    assert bloch._step_count(V, lam, None) == 25856
+    M = bloch.monodromy(V, lam)
+    k = math.sqrt(1.0 - lam)
+    assert M.trace == pytest.approx(2.0 * math.cosh(k), rel=1e-9)
+    assert M.m12 == pytest.approx(math.sinh(k) / k, rel=1e-9)
+    assert M.m21 == pytest.approx(k * math.sinh(k), rel=1e-9)
+    # det = 1 up to the cancellation error of the entries' magnitude
+    assert abs(M.det - 1.0) <= 1e-12 * M.norm**2
+
+
+def test_spectrum_min_memoized_across_bloch_modes():
+    V = FunctionDescriptor(const=1.0, cos=((2, 0.3),), sin=((1, 0.1),))
+    before = bloch.spectrum_min.cache_info()
+    first = bloch.bloch_modes(V, -3.0)
+    again = [bloch.bloch_modes(V, -3.0) for _ in range(3)]
+    after = bloch.spectrum_min.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 3
+    assert bloch.spectrum_min(V) == bloch.spectrum_min(V)
+    for bd in again:
+        assert bd.kappa == first.kappa
+        assert np.array_equal(bd.p_minus, first.p_minus)
+
+
+def _rk4_loop(q, h, y, v, damping):
+    """Scalar RK4 of y'' + damping * y' + q(x) y = 0, with q at half steps."""
+    for i in range((len(q) - 1) // 2):
+        q0, qm, q1 = q[2 * i], q[2 * i + 1], q[2 * i + 2]
+        k1y, k1v = v, -damping * v - q0 * y
+        y2, v2 = y + 0.5 * h * k1y, v + 0.5 * h * k1v
+        k2y, k2v = v2, -damping * v2 - qm * y2
+        y3, v3 = y + 0.5 * h * k2y, v + 0.5 * h * k2v
+        k3y, k3v = v3, -damping * v3 - qm * y3
+        y4, v4 = y + h * k3y, v + h * k3v
+        k4y, k4v = v4, -damping * v4 - q1 * y4
+        y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return y, v
+
+
+def test_step_matrix_products_match_scalar_loop():
+    # the step-matrix propagator regroups the RK4 arithmetic, so the two
+    # agree to rounding, not bit for bit
+    n, lam = 256, -5.0
+    q = lam - np.asarray(V_MATHIEU(np.linspace(0.0, 1.0, 2 * n + 1)))
+    for damping in (0.0, 2.5):
+        steps = bloch._rk4(*bloch._substeps(V_MATHIEU, n, 0, n, lam), damping)
+        S = bloch._product(steps.reshape(-1, 2, 2))
+        for y0, v0 in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8)):
+            ref = _rk4_loop(q, 1.0 / n, y0, v0, damping)
+            assert S @ [y0, v0] == pytest.approx(ref, rel=1e-13, abs=1e-13)
+    M = bloch.monodromy(V_MATHIEU, lam, steps=n)
+    ref = np.array([_rk4_loop(q, 1.0 / n, 1.0, 0.0, 0.0), _rk4_loop(q, 1.0 / n, 0.0, 1.0, 0.0)]).T
+    assert [M.m11, M.m12, M.m21, M.m22] == pytest.approx(ref.ravel().tolist(), rel=1e-13)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tempfile
 
 import pytest
 
@@ -134,6 +135,28 @@ def test_sweep_runs_rows_independently(tmp_path):
     # the in-spectrum row records an error instead of aborting the sweep
     bad = report.results[2]["results"][0]["bands"][0]
     assert "error" in bad
+
+
+def test_sweep_invalid_row_leaves_no_temp_file(tmp_path, monkeypatch):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    cfg = write_cfg(
+        tmp_path,
+        "sweep.json",
+        {
+            "kind": "sweep",
+            "base_kind": "bloch",
+            "V": {"const": 1.0},
+            "lambda": -1.0,
+            "sweep": {"parameter": "p", "values": [3.0, "cubic"]},
+        },
+    )
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert "results" in rows[0]
+    assert "error" in rows[1]
+    assert list(tmp.iterdir()) == []
 
 
 def test_dislocation_zero_shift_inconclusive(tmp_path):

@@ -68,6 +68,15 @@ def test_derivatives_trig():
     assert f.derivative(0.0, order=2) == pytest.approx(-0.5 * (2 * math.pi) ** 2)
 
 
+def test_derivative_order_beyond_two_raises():
+    for f in (
+        FunctionDescriptor(cos=((1, 0.5),)),
+        FunctionDescriptor(sin=((1, 0.5),)),
+    ):
+        with pytest.raises(ValueError):
+            f.derivative(0.1, order=3)
+
+
 def test_derivative_piecewise_breakpoint_raises():
     f = FunctionDescriptor(segments=((0.0, 0.5, 1.0), (0.5, 1.0, 2.0)))
     assert f.derivative(0.25) == 0.0
