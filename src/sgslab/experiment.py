@@ -48,7 +48,6 @@ class ExperimentSpec:
     tol: float = 1e-8
     max_iter: int = 50_000
     t_list: list = field(default_factory=lambda: [4, 5, 6, 7, 8])
-    cert_tol: float = 1e-12
     lambda_list: list = field(default_factory=list)     # bloch scans
     tau: float = 0.0
     sweep: tuple | None = None                          # (parameter name, values)
@@ -62,9 +61,10 @@ class Report:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        """The serializable report; underscore keys (curve data) are left out."""
         return {
             "spec": self.spec_echo,
-            "results": self.results,
+            "results": _strip_profiles(self.results),
             "provenance": self.provenance,
         }
 
@@ -123,7 +123,6 @@ def parse_config(source) -> ExperimentSpec:
     spec = ExperimentSpec(kind=kind, params=params, raw=cfg)
     spec.tol = float(cfg.get("tol", 1e-8))
     spec.max_iter = int(cfg.get("max_iter", 50_000))
-    spec.cert_tol = float(cfg.get("cert_tol", 1e-12))
     if "t_list" in cfg:
         spec.t_list = [int(t) for t in cfg["t_list"]]
     spec.tau = float(cfg.get("tau", 0.0))
@@ -321,7 +320,7 @@ def emit_report(report: Report, out_dir) -> list:
     profiles = []
     bands = []
     for entry in report.results:
-        prof = entry.pop("_profile", None)
+        prof = entry.get("_profile")
         if prof is not None:
             profiles.append(prof)
         if entry.get("kind") == "bloch":
@@ -371,7 +370,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute an experiment config and write reports")
     run_p.add_argument("config")
     run_p.add_argument("--out", default="out", help="output directory (default: out)")
-    run_p.add_argument("--threads", type=int, default=1, help="reserved; rows run sequentially")
     run_p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
     val_p = sub.add_parser("validate", help="parse and validate a config without running")
     val_p.add_argument("config")

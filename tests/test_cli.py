@@ -222,6 +222,47 @@ def test_run_deterministic_apart_from_timestamp(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_emit_report_twice_writes_identical_files(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        "gs.json",
+        {
+            "kind": "groundstate",
+            "medium": {"V": 1.0, "Gamma": 1.0},
+            "L_dom": 10.0,
+            "h": 0.05,
+            "tol": 1e-7,
+        },
+    )
+    report = run_experiment(parse_config(cfg))
+    texts = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        emit_report(report, out)
+        texts.append(((out / "report.json").read_text(), (out / "profiles.csv").read_text()))
+    assert texts[0] == texts[1]
+    assert "_profile" not in texts[0][0]
+
+
+@pytest.mark.parametrize(
+    "grid", [{"L_dom": 10, "h": 0.02}, {"h": 0.08}], ids=["L10-h0.02", "auto-h0.08"]
+)
+def test_groundstate_off_centre_seed_converges(tmp_path, capsys, grid):
+    # the seed sits at x = 0.5 in a constant medium, whose translation mode
+    # only the walls pin (exponentially weakly): the solve must still reach
+    # the tolerance instead of stalling or stepping along that mode
+    cfg = write_cfg(
+        tmp_path,
+        "gs.json",
+        dict({"kind": "groundstate", "p": 3, "lambda": 0, "medium": {"V": 1, "Gamma": 1}}, **grid),
+    )
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    result = json.loads((out / "report.json").read_text())["results"][0]["result"]
+    assert result["residual"] < 1e-8
+
+
 def test_report_echoes_config(tmp_path):
     raw = {"kind": "bloch", "V": {"const": 1.0}, "lambda": -1.0, "note_field": 7}
     cfg = write_cfg(tmp_path, "echo.json", raw)

@@ -232,3 +232,34 @@ def test_envelope_check_zero_tail_sentinel(grid):
     holds, margin = envelope_check(w, bd, x0=1.0)
     assert holds
     assert margin == math.inf
+
+
+@pytest.mark.parametrize(
+    "medium, tol, seed_center, energy",
+    [
+        (CONST, 1e-8, 0.0, 1.333325555373337),
+        (
+            PeriodicMedium(
+                FunctionDescriptor(const=1.0, cos=((1, 0.5),)), FunctionDescriptor(const=1.0)
+            ),
+            1e-8,
+            None,
+            1.3251757787707958,
+        ),
+        (
+            compose_interface(
+                PeriodicMedium(FunctionDescriptor(const=1.2), FunctionDescriptor(const=2.0)), CONST
+            ),
+            1e-7,
+            None,
+            0.8663243555385476,
+        ),
+    ],
+    ids=["const", "mathieu", "a8-interface"],
+)
+def test_solver_pinned_energies(grid, medium, tol, seed_center, energy):
+    # discrete ground-state energies on L = 20, h = 0.01, pinned to 1e-10
+    # relative so that a solver change cannot move them unnoticed
+    res = solve_ground_state(medium, P3, grid, SolverOptions(tol=tol, seed_center=seed_center))
+    assert res.residual < tol
+    assert res.energy_c == pytest.approx(energy, rel=1e-10)
