@@ -6,6 +6,14 @@ can re-derive the verdict by hand.  Strict inequalities carry an explicit
 certification tolerance: borderline results come back Inconclusive, never
 certified.  Criteria that are only valid in the strongly-negative-lambda
 regime tag their verdict with "asymptotic".
+
+Coefficient ranges come from the exact descriptor algebra of `media`
+(`sub`, `inf_bound`, `sup_bound`), never from point samples.  It is exact
+for piecewise and single-harmonic descriptors and when one side is a
+constant.  Elsewhere its bounds are conservative (an inf bound too low, a sup
+bound too high), so an ordering they cannot prove comes back Inconclusive.  Every
+mode-weighted mismatch integral is one trapezoid integral over the period
+next to the interface (`_mode_integral`).
 """
 
 from __future__ import annotations
@@ -76,32 +84,22 @@ def energy_verdict(c: float, c1: float, c2: float, tol: float) -> CriterionRepor
     return CriterionReport("energy_verdict", Verdict.Inconclusive, inter, [], notes)
 
 
-def nonexistence_check(m: InterfaceMedium, sample_count: int = 2048) -> CriterionReport:
-    """Certify non-existence from the pointwise ordering V1 <= V2 and
-    Gamma1 >= Gamma2 over a period, with at least one strict inequality on a
-    sample subinterval."""
-    x = np.linspace(0.0, 1.0, sample_count, endpoint=False)
-    V1 = np.asarray(m.side1.V(x), dtype=float)
-    V2 = np.asarray(m.side2.V(x), dtype=float)
-    G1 = np.asarray(m.side1.Gamma(x), dtype=float)
-    G2 = np.asarray(m.side2.Gamma(x), dtype=float)
-    v_ordered = bool(np.all(V1 <= V2 + CERT_TOL))
-    g_ordered = bool(np.all(G1 >= G2 - CERT_TOL))
-
-    def strict_on_subinterval(diff):
-        # strict on two consecutive samples, so a single-point artifact
-        # cannot certify
-        mask = diff > CERT_TOL
-        return bool(np.any(mask[:-1] & mask[1:]))
-
-    v_strict = strict_on_subinterval(V2 - V1)
-    g_strict = strict_on_subinterval(G1 - G2)
+def nonexistence_check(m: InterfaceMedium) -> CriterionReport:
+    """Certify non-existence from the ordering V1 <= V2 and Gamma1 >= Gamma2
+    everywhere, with at least one of them strict somewhere.  The ranges of
+    V2 - V1 and Gamma1 - Gamma2 come from the descriptor algebra
+    (`FunctionDescriptor.difference_bounds`)."""
+    inf_dv, sup_dv = m.side2.V.difference_bounds(m.side1.V)
+    inf_dg, sup_dg = m.side1.Gamma.difference_bounds(m.side2.Gamma)
+    v_ordered = inf_dv >= -CERT_TOL
+    g_ordered = inf_dg >= -CERT_TOL
+    v_strict = sup_dv > CERT_TOL
+    g_strict = sup_dg > CERT_TOL
     inter = {
-        "max_V1_minus_V2": float(np.max(V1 - V2)),
-        "min_Gamma1_minus_Gamma2": float(np.min(G1 - G2)),
+        "max_V1_minus_V2": 0.0 - inf_dv,  # not -inf_dv, which turns 0.0 into -0.0
+        "min_Gamma1_minus_Gamma2": inf_dg,
         "V_strict_somewhere": v_strict,
         "Gamma_strict_somewhere": g_strict,
-        "sample_count": sample_count,
     }
     checks = [("V1 <= V2 everywhere", v_ordered), ("Gamma1 >= Gamma2 everywhere", g_ordered)]
     if v_ordered and g_ordered and (v_strict or g_strict):
@@ -138,7 +136,9 @@ def shifted_state_criterion(
     Certification requires every row in the last half of t_list to hold and
     the integrals to decay at their predicted geometric rates (within 20% of
     e^{-2 kappa} resp. e^{-(p+1) kappa}), evidence that the finite shifts are
-    already in the asymptotic regime.
+    already in the asymptotic regime.  kappa is the decay exponent of the
+    state's own side; LambdaInSpectrum is raised when lambda is not below
+    that side's spectrum.
     """
     if branch not in ("a", "b"):
         raise ValueError("branch must be 'a' or 'b'")
@@ -165,11 +165,7 @@ def shifted_state_criterion(
         rhs = 2.0 * float(np.sum(weights * dG * np.abs(wt) ** (params.p + 1.0)))
         rows.append({"t": t, "lhs": lhs, "rhs": rhs, "holds": lhs < rhs - CERT_TOL})
 
-    kappa = None
-    try:
-        kappa = bloch.bloch_modes(own.V, params.lam, check_spectrum=False).kappa
-    except Exception:
-        pass
+    kappa = bloch.bloch_modes(own.V, params.lam).kappa
 
     def ratio_ok(key, rate):
         vals = [abs(r[key]) for r in rows]
@@ -184,9 +180,7 @@ def shifted_state_criterion(
             oks.append(abs(rb / ra - expected) <= 0.2 * expected)
         return bool(oks) and all(oks)
 
-    decay_ok = True
-    if kappa is not None:
-        decay_ok = ratio_ok("lhs", 2.0 * kappa) and ratio_ok("rhs", (params.p + 1.0) * kappa)
+    decay_ok = ratio_ok("lhs", 2.0 * kappa) and ratio_ok("rhs", (params.p + 1.0) * kappa)
 
     half = rows[len(rows) // 2 :] if len(rows) > 1 else rows
     all_hold = all(r["holds"] for r in half)
@@ -214,12 +208,9 @@ def asymptotic_expansion(
     shifts: geometric prefactors times one-period weighted integrals of the
     coefficient mismatches against the decaying-mode envelope."""
     kappa = bd.kappa
-    x = np.linspace(-1.0, 0.0, bd.samples)
-    p_m = bd.p_minus_at(x)
-    dV = np.asarray(m.side2.V(x), float) - np.asarray(m.side1.V(x), float)
-    dG = np.asarray(m.side2.Gamma(x), float) - np.asarray(m.side1.Gamma(x), float)
-    iv = float(np.trapezoid(dV * p_m**2 * np.exp(2.0 * kappa * x), x))
-    ig = float(np.trapezoid(dG * p_m ** (params.p + 1.0) * np.exp((params.p + 1.0) * kappa * x), x))
+    s1, s2 = m.side1, m.side2
+    iv = _mode_integral(bd, lambda x: s2.V(x) - s1.V(x), 2.0, "forward")
+    ig = _mode_integral(bd, lambda x: s2.Gamma(x) - s1.Gamma(x), params.p + 1.0, "forward")
     # prefactors match the shifted-state row integrals, so (lhs, rhs) are the
     # leading-order approximations of the finite-shift rows
     lhs = (
@@ -239,6 +230,20 @@ def asymptotic_expansion(
     return lhs, rhs
 
 
+def _mode_integral(bd: bloch.BlochData, f, power: float, orientation: str) -> float:
+    """Trapezoid integral of f (p e^{-+kappa x})^power over the period next to
+    the interface: [-1, 0] with the mode decaying at -inf (forward), [0, 1]
+    with the mode decaying at +inf (reverse)."""
+    if orientation == "forward":
+        x = np.linspace(-1.0, 0.0, bd.samples)
+        p, sign = bd.p_minus_at(x), 1.0
+    else:
+        x = np.linspace(0.0, 1.0, bd.samples)
+        p, sign = bd.p_plus_at(x), -1.0
+    env = p**power * np.exp(sign * power * bd.kappa * x)
+    return float(np.trapezoid(f(x) * env, x))
+
+
 def bloch_integral_criterion(
     V1: FunctionDescriptor,
     V2: FunctionDescriptor,
@@ -255,17 +260,9 @@ def bloch_integral_criterion(
     """
     if orientation not in ("forward", "reverse"):
         raise ValueError("orientation must be 'forward' or 'reverse'")
-    if orientation == "forward":
-        bd = bloch.bloch_modes(V1, lam, samples=BLOCH_SAMPLES)
-        x = np.linspace(-1.0, 0.0, bd.samples)
-        env = bd.p_minus_at(x) ** 2 * np.exp(2.0 * bd.kappa * x)
-        mismatch = np.asarray(V2(x), float) - np.asarray(V1(x), float)
-    else:
-        bd = bloch.bloch_modes(V2, lam, samples=BLOCH_SAMPLES)
-        x = np.linspace(0.0, 1.0, bd.samples)
-        env = bd.p_plus_at(x) ** 2 * np.exp(-2.0 * bd.kappa * x)
-        mismatch = np.asarray(V1(x), float) - np.asarray(V2(x), float)
-    integral = float(np.trapezoid(mismatch * env, x))
+    own, other = (V1, V2) if orientation == "forward" else (V2, V1)
+    bd = bloch.bloch_modes(own, lam, samples=BLOCH_SAMPLES)
+    integral = _mode_integral(bd, lambda x: other(x) - own(x), 2.0, orientation)
     inter = {"integral": integral, "kappa": bd.kappa, "orientation": orientation, "lambda": lam}
     checks = [("lambda below the relevant spectrum bottom", True)]
     notes = ["caller must separately establish the energy ordering of the half-line problems"]
@@ -374,7 +371,7 @@ def large_jump_beta0(
     verdict = Verdict.Inconclusive
     if m is not None:
         inf_g1 = m.side1.Gamma.inf_bound()
-        sup_dv = (m.side2.V.sub(m.side1.V)).sup_bound()
+        sup_dv = m.side2.V.difference_bounds(m.side1.V)[1]
         inter["inf_Gamma1"] = inf_g1
         inter["sup_V2_minus_V1"] = sup_dv
         checks = [
@@ -416,30 +413,13 @@ def dislocation_report(
             ["zero dislocation: both sides identical"],
         )
 
-    bd1 = bloch.bloch_modes(V_right, lam, samples=BLOCH_SAMPLES)
-    x_m = np.linspace(-1.0, 0.0, bd1.samples)
-    cond1 = float(
-        np.trapezoid(
-            (np.asarray(V_left(x_m), float) - np.asarray(V_right(x_m), float))
-            * bd1.p_minus_at(x_m) ** 2
-            * np.exp(2.0 * bd1.kappa * x_m),
-            x_m,
-        )
-    )
-    bd2 = bloch.bloch_modes(V_left, lam, samples=BLOCH_SAMPLES)
-    x_p = np.linspace(0.0, 1.0, bd2.samples)
-    cond1p = float(
-        np.trapezoid(
-            (np.asarray(V_right(x_p), float) - np.asarray(V_left(x_p), float))
-            * bd2.p_plus_at(x_p) ** 2
-            * np.exp(-2.0 * bd2.kappa * x_p),
-            x_p,
-        )
-    )
+    fwd = bloch_integral_criterion(V_right, V_left, lam, "forward").intermediates
+    rev = bloch_integral_criterion(V_right, V_left, lam, "reverse").intermediates
+    cond1, cond1p = fwd["integral"], rev["integral"]
     inter["dis_cond1"] = cond1
     inter["dis_cond1_prime"] = cond1p
-    inter["kappa_side1"] = bd1.kappa
-    inter["kappa_side2"] = bd2.kappa
+    inter["kappa_side1"] = fwd["kappa"]
+    inter["kappa_side2"] = rev["kappa"]
 
     # interface-point comparison of the two shifted copies
     v_minus, v_plus = float(V0(-tau)), float(V0(tau))

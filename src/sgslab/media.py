@@ -81,6 +81,10 @@ class FunctionDescriptor:
     def is_piecewise(self) -> bool:
         return bool(self.segments)
 
+    @property
+    def is_constant(self) -> bool:
+        return not (self.segments or self.cos or self.sin)
+
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x):
@@ -193,8 +197,10 @@ class FunctionDescriptor:
         )
 
     def sub(self, other: "FunctionDescriptor") -> "FunctionDescriptor":
-        """Pointwise difference self - other (within one descriptor family)."""
-        if self.segments and other.segments:
+        """Pointwise difference self - other, within one descriptor family; a
+        constant counts as a member of either."""
+        if (self.segments or other.segments) and self._same_family(other):
+            # a constant side adds no breakpoint; the piecewise side starts one at 0
             breaks = sorted(
                 {round(_frac(a), 15) for a, _, _ in self.segments}
                 | {round(_frac(a), 15) for a, _, _ in other.segments}
@@ -223,6 +229,18 @@ class FunctionDescriptor:
                 sin=tuple(sorted((n, a) for n, a in sind.items() if a != 0.0)),
             )
         raise ValueError("cannot subtract a piecewise from a trigonometric descriptor")
+
+    def difference_bounds(self, other: "FunctionDescriptor") -> tuple[float, float]:
+        """(lower bound on inf, upper bound on sup) of self - other: the range
+        of sub(other) within one family, the conservative
+        (inf - sup, sup - inf) of the two ranges across families."""
+        if not self._same_family(other):
+            return self.inf_bound() - other.sup_bound(), self.sup_bound() - other.inf_bound()
+        d = self.sub(other)
+        return d.inf_bound(), d.sup_bound()
+
+    def _same_family(self, other: "FunctionDescriptor") -> bool:
+        return self.is_constant or other.is_constant or self.is_piecewise == other.is_piecewise
 
     def _remap(self, transform, candidate_breaks) -> "FunctionDescriptor":
         """Rebuild a piecewise descriptor for x -> f(transform(x)); the new

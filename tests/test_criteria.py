@@ -7,7 +7,7 @@ import pytest
 
 from sgslab import criteria, oracle
 from sgslab.criteria import CriterionReport, Verdict
-from sgslab.errors import InvalidEnergy, NotDifferentiable, ShiftOutOfDomain
+from sgslab.errors import InvalidEnergy, LambdaInSpectrum, NotDifferentiable, ShiftOutOfDomain
 from sgslab.media import (
     FunctionDescriptor,
     PeriodicMedium,
@@ -98,6 +98,26 @@ def test_nonexistence_identical_sides_not_strict():
     assert rep.verdict is Verdict.Inconclusive
 
 
+def test_nonexistence_fine_harmonic_not_certified():
+    # V2 - V1 = 1e-3 + 2e-3 sin(2 pi 2048 x) dips to -1e-3, but is 1e-3 at
+    # every point k / 2048 of a uniform 2048-sample grid
+    V2 = FunctionDescriptor(const=1.001, sin=((2048, 2e-3),))
+    m = compose_interface(SIDE_HIGH, PeriodicMedium(V2, CONST_G1))
+    rep = criteria.nonexistence_check(m)
+    assert rep.verdict is Verdict.Inconclusive
+    assert rep.intermediates["max_V1_minus_V2"] == pytest.approx(1e-3, rel=1e-9)
+    assert rep.assumptions_checked[0] == ("V1 <= V2 everywhere", False)
+
+
+def test_nonexistence_constant_against_piecewise():
+    V2 = FunctionDescriptor.piecewise(((0.0, 0.3, 1.2), (0.3, 0.8, 1.5), (0.8, 1.0, 1.1)))
+    m = compose_interface(SIDE_HIGH, PeriodicMedium(V2, CONST_G1))
+    rep = criteria.nonexistence_check(m)
+    assert rep.verdict is Verdict.NonexistenceCertified
+    assert rep.intermediates["max_V1_minus_V2"] == pytest.approx(-0.1)
+    assert "sample_count" not in rep.intermediates
+
+
 # --- shifted half-line state ------------------------------------------------
 
 
@@ -141,6 +161,16 @@ def test_shifted_state_shift_out_of_domain(solved_high):
     m = compose_interface(SIDE_HIGH, SIDE_LOW)
     with pytest.raises(ShiftOutOfDomain):
         criteria.shifted_state_criterion(solved_high, m, P3, [25])
+
+
+def test_shifted_state_lambda_in_spectrum_raises():
+    # the solved side has spectrum bottom 1; lambda = 2 lies inside it, so
+    # the decay rate kappa of the shifted rows does not exist
+    grid = Grid.from_extent(10.0, 0.04)
+    w = solve_ground_state(SIDE_HIGH, P3, grid, SolverOptions(tol=1e-8))
+    m = compose_interface(SIDE_HIGH, SIDE_LOW)
+    with pytest.raises(LambdaInSpectrum):
+        criteria.shifted_state_criterion(w, m, ProblemParams(p=3.0, lam=2.0), [1, 2, 3, 4])
 
 
 def test_shifted_state_rejects_bad_branch(solved_high):
@@ -300,6 +330,24 @@ def test_beta0_with_certifying_medium():
     )
     beta0, rep = criteria.large_jump_beta0(c2, c1_unit, P3, m)
     assert beta0 == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+    assert rep.verdict is Verdict.ExistenceCertified
+
+
+def test_beta0_constant_against_piecewise_potential():
+    # side 2 has a piecewise potential, side 1 a constant one: sup(V2 - V1)
+    # comes from the exact piecewise difference
+    V2 = FunctionDescriptor.piecewise(((0.0, 0.5, 0.2), (0.5, 1.0, 0.4)))
+    m = compose_interface(
+        PeriodicMedium(CONST_V1, FunctionDescriptor(const=3.0)),
+        PeriodicMedium(V2, CONST_G1),
+    )
+    # p = 3: beta0 = c1_unit / c2
+    beta0, rep = criteria.large_jump_beta0(1.0, 4.0, P3, m)
+    assert beta0 == pytest.approx(4.0)
+    assert rep.intermediates["sup_V2_minus_V1"] == pytest.approx(-0.6)
+    assert rep.verdict is Verdict.Inconclusive
+    beta0, rep = criteria.large_jump_beta0(1.0, 3.0, P3, m)
+    assert beta0 == pytest.approx(3.0)
     assert rep.verdict is Verdict.ExistenceCertified
 
 

@@ -1,0 +1,126 @@
+"""Property tests of the descriptor algebra and of the non-existence
+certificate, on random trigonometric (up to 3 harmonics) and piecewise
+(up to 4 segments) descriptors."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgslab import criteria
+from sgslab.criteria import CERT_TOL, Verdict
+from sgslab.media import FunctionDescriptor, PeriodicMedium, compose_interface
+
+SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+DENSE = np.linspace(0.0, 1.0, 10001)
+# points closer than this to a breakpoint are left out of pointwise
+# comparisons: there the descriptor's own evaluation rounds to either side
+NEAR_BREAK = 1e-9
+
+amplitudes = st.floats(-1.0, 1.0, allow_nan=False)
+trigonometric = st.builds(
+    lambda const, terms: FunctionDescriptor(
+        const=const,
+        cos=tuple((n, a) for kind, n, a in terms if kind == "cos"),
+        sin=tuple((n, a) for kind, n, a in terms if kind == "sin"),
+    ),
+    st.floats(-2.0, 2.0, allow_nan=False),
+    # frequency 2048 puts every extremum between the points of a 2048-sample grid
+    st.lists(st.tuples(st.sampled_from(["cos", "sin"]),
+                       st.one_of(st.integers(1, 16), st.just(2048)), amplitudes),
+             max_size=3),
+)
+piecewise = st.builds(
+    lambda breaks, values: FunctionDescriptor.piecewise(
+        (a, b, v) for a, b, v in zip([0.0] + breaks, breaks + [1.0], values)
+    ),
+    st.lists(st.integers(1, 999), max_size=3, unique=True).map(
+        lambda ks: [k / 1000.0 for k in sorted(ks)]
+    ),
+    st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=4, max_size=4),
+)
+descriptors = st.one_of(trigonometric, piecewise)
+
+
+def breaks(*fs) -> np.ndarray:
+    return np.array([a for f in fs for a, _, _ in f.segments])
+
+
+def away_from(x, pts) -> np.ndarray:
+    """Mask of the x whose distance mod 1 to every point of pts exceeds NEAR_BREAK."""
+    if len(pts) == 0:
+        return np.ones_like(x, dtype=bool)
+    d = np.abs(np.subtract.outer(x, pts)) % 1.0
+    return np.min(np.minimum(d, 1.0 - d), axis=1) > NEAR_BREAK
+
+
+def assert_agrees(got, want, mask):
+    np.testing.assert_allclose(got[mask], want[mask], rtol=0.0, atol=1e-10)
+
+
+@SETTINGS
+@given(descriptors, st.floats(-3.0, 3.0, allow_nan=False))
+def test_shifted_is_pointwise_shift(f, delta):
+    assert_agrees(f.shifted(delta)(DENSE), f(DENSE + delta), away_from(DENSE + delta, breaks(f)))
+
+
+@SETTINGS
+@given(descriptors)
+def test_reflected_is_pointwise_reflection(f):
+    assert_agrees(f.reflected()(DENSE), f(-DENSE), away_from(-DENSE, breaks(f)))
+
+
+@SETTINGS
+@given(descriptors, st.integers(1, 5))
+def test_frequency_scaled_is_pointwise_scaling(f, k):
+    assert_agrees(f.frequency_scaled(k)(DENSE), f(k * DENSE), away_from(k * DENSE, breaks(f)))
+
+
+@SETTINGS
+@given(descriptors, descriptors)
+def test_sub_is_pointwise_difference(f, g):
+    if f.is_piecewise != g.is_piecewise and not (f.is_constant or g.is_constant):
+        with pytest.raises(ValueError):
+            f.sub(g)
+        return
+    assert_agrees(f.sub(g)(DENSE), f(DENSE) - g(DENSE), away_from(DENSE, breaks(f, g)))
+
+
+@SETTINGS
+@given(descriptors)
+def test_range_bounds_enclose_dense_samples(f):
+    x = np.concatenate([DENSE, breaks(f)])
+    assert f.inf_bound() <= float(np.min(f(x))) + 1e-12
+    assert f.sup_bound() >= float(np.max(f(x))) - 1e-12
+
+
+@SETTINGS
+@given(descriptors, descriptors)
+def test_difference_bounds_enclose_dense_samples(f, g):
+    x = np.concatenate([DENSE, breaks(f, g)])
+    lo, hi = f.difference_bounds(g)
+    d = f(x) - g(x)
+    assert lo <= float(np.min(d)) + 1e-12
+    assert hi >= float(np.max(d)) - 1e-12
+
+
+def near_ordered(low, high, gap):
+    """high lifted so that inf(high) - sup(low) = gap, as far as the
+    range bounds of the two descriptors tell."""
+    return high.plus(low.sup_bound() - high.inf_bound() + gap)
+
+
+@SETTINGS
+@given(descriptors, descriptors, descriptors, descriptors,
+       st.floats(-0.5, 0.5, allow_nan=False), st.floats(-0.5, 0.5, allow_nan=False))
+def test_nonexistence_certificate_is_sound(V1, V2, G1, G2, v_gap, g_gap):
+    V2 = near_ordered(V1, V2, v_gap)
+    G2 = G2.plus(1.0 - G2.inf_bound())  # Gamma2 >= 1, so Gamma1 >= 0.5 below
+    G1 = near_ordered(G2, G1, g_gap)
+    m = compose_interface(PeriodicMedium(V1, G1), PeriodicMedium(V2, G2))
+    rep = criteria.nonexistence_check(m)
+    if rep.verdict is not Verdict.NonexistenceCertified:
+        return
+    x = np.concatenate([DENSE, breaks(V1, V2, G1, G2)])
+    assert float(np.min(V2(x) - V1(x))) >= -CERT_TOL
+    assert float(np.min(G1(x) - G2(x))) >= -CERT_TOL
