@@ -30,7 +30,7 @@ print(f"{'lambda':>10}  {'Delta':>14}  {'kappa':>12}")
 for lam in np.linspace(bottom - 4.0, bottom + 1.0, 11):
     d = bloch.discriminant(V, lam)
     if lam < bottom - 1e-6:
-        kappa = bloch.bloch_modes(V, lam, check_spectrum=False).kappa
+        kappa = bloch.bloch_modes(V, lam).kappa
         print(f"{lam:>10.4f}  {d:>14.6f}  {kappa:>12.6f}")
     else:
         print(f"{lam:>10.4f}  {d:>14.6f}  {'(in band)':>12}")

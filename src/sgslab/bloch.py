@@ -228,7 +228,6 @@ def bloch_modes(
     lam: float,
     samples: int = DEFAULT_SAMPLES,
     steps: int | None = None,
-    check_spectrum: bool = True,
 ) -> BlochData:
     """Bloch modes of -d^2/dx^2 + V - lambda for lambda below the spectrum.
 
@@ -236,7 +235,7 @@ def bloch_modes(
     arccosh of half the trace near the band edge); the periodic factors are
     normalized to sup-norm 1 and positive.
     """
-    if check_spectrum and lam >= spectrum_min(V):
+    if lam >= spectrum_min(V):
         raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom")
     M = monodromy(V, lam, steps)
     delta = M.trace

@@ -8,10 +8,11 @@ certified.  Criteria that are only valid in the strongly-negative-lambda
 regime tag their verdict with "asymptotic".
 
 Coefficient ranges come from the exact descriptor algebra of `media`
-(`sub`, `inf_bound`, `sup_bound`), never from point samples.  It is exact
-for piecewise and single-harmonic descriptors and when one side is a
-constant.  Elsewhere its bounds are conservative (an inf bound too low, a sup
-bound too high), so an ordering they cannot prove comes back Inconclusive.  Every
+(`sub`, `inf_bound`, `sup_bound`, `sup_lower_bound`), never from point
+samples.  It is exact for piecewise and single-harmonic descriptors and when
+one side is a constant.  Elsewhere its bounds are conservative (an inf bound
+too low, a sup bound too high, a lower bound on the sup too low), so an
+ordering or a strict sign they cannot prove comes back Inconclusive.  Every
 mode-weighted mismatch integral is one trapezoid integral over the period
 next to the interface (`_mode_integral`).
 """
@@ -86,15 +87,16 @@ def energy_verdict(c: float, c1: float, c2: float, tol: float) -> CriterionRepor
 
 def nonexistence_check(m: InterfaceMedium) -> CriterionReport:
     """Certify non-existence from the ordering V1 <= V2 and Gamma1 >= Gamma2
-    everywhere, with at least one of them strict somewhere.  The ranges of
-    V2 - V1 and Gamma1 - Gamma2 come from the descriptor algebra
-    (`FunctionDescriptor.difference_bounds`)."""
-    inf_dv, sup_dv = m.side2.V.difference_bounds(m.side1.V)
-    inf_dg, sup_dg = m.side1.Gamma.difference_bounds(m.side2.Gamma)
+    everywhere, with at least one of them strict somewhere.  Lower bounds on
+    the inf and on the sup of V2 - V1 and Gamma1 - Gamma2 come from the
+    descriptor algebra (`FunctionDescriptor.difference_bounds` and
+    `difference_sup_lower_bound`)."""
+    inf_dv = m.side2.V.difference_bounds(m.side1.V)[0]
+    inf_dg = m.side1.Gamma.difference_bounds(m.side2.Gamma)[0]
     v_ordered = inf_dv >= -CERT_TOL
     g_ordered = inf_dg >= -CERT_TOL
-    v_strict = sup_dv > CERT_TOL
-    g_strict = sup_dg > CERT_TOL
+    v_strict = m.side2.V.difference_sup_lower_bound(m.side1.V) > CERT_TOL
+    g_strict = m.side1.Gamma.difference_sup_lower_bound(m.side2.Gamma) > CERT_TOL
     inter = {
         "max_V1_minus_V2": 0.0 - inf_dv,  # not -inf_dv, which turns 0.0 into -0.0
         "min_Gamma1_minus_Gamma2": inf_dg,

@@ -47,7 +47,6 @@ class ExperimentSpec:
     grid: Grid | None = None
     tol: float = 1e-8
     max_iter: int = 50_000
-    t_list: list = field(default_factory=lambda: [4, 5, 6, 7, 8])
     lambda_list: list = field(default_factory=list)     # bloch scans
     tau: float = 0.0
     sweep: tuple | None = None                          # (parameter name, values)
@@ -121,11 +120,9 @@ def parse_config(source) -> ExperimentSpec:
         raise ValidationError(f"params: {exc}") from exc
 
     spec = ExperimentSpec(kind=kind, params=params, raw=cfg)
-    spec.tol = float(cfg.get("tol", 1e-8))
-    spec.max_iter = int(cfg.get("max_iter", 50_000))
-    if "t_list" in cfg:
-        spec.t_list = [int(t) for t in cfg["t_list"]]
-    spec.tau = float(cfg.get("tau", 0.0))
+    spec.tol = _number(cfg.get("tol", 1e-8), "tol")
+    spec.max_iter = _number(cfg.get("max_iter", 50_000), "max_iter", int)
+    spec.tau = _number(cfg.get("tau", 0.0), "tau")
 
     media = {}
     if kind in ("groundstate", "bloch"):
@@ -161,38 +158,53 @@ def parse_config(source) -> ExperimentSpec:
     spec.media = media
 
     if "lambda_list" in cfg:
-        spec.lambda_list = [float(v) for v in cfg["lambda_list"]]
+        values = cfg["lambda_list"]
+        if not isinstance(values, list):
+            raise ValidationError("lambda_list: expected a list of numbers")
+        spec.lambda_list = [_number(v, f"lambda_list[{i}]") for i, v in enumerate(values)]
 
-    h = float(cfg.get("h", 0.01))
+    h = _number(cfg.get("h", 0.01), "h")
     if h <= 0:
         raise ValidationError("h: must be positive")
-    L = cfg.get("L_dom")
-    if L is None and kind in ("groundstate", "interface", "criteria", "dislocation"):
-        L = _auto_extent(spec, params)
-    if L is not None:
-        if float(L) <= 0:
-            raise ValidationError("L_dom: must be positive")
-        spec.grid = Grid.from_extent(float(L), h)
-    return spec
-
-
-def _auto_extent(spec: ExperimentSpec, params: ProblemParams) -> float:
-    """Domain half-width 12 / kappa_min so the truncated tail is ~e^-12."""
-    pots = []
-    for key in ("medium", "side1", "side2"):
-        if key in spec.media:
-            pots.append(spec.media[key].V)
-    if "V0" in spec.media:
-        pots = [spec.media["V0"].shifted(spec.tau), spec.media["V0"].shifted(-spec.tau)]
-    kappas = []
+    pots = _potentials(spec)
     for V in pots:
         bottom = bloch.spectrum_min(V)
         if params.lam >= bottom:
             raise ValidationError(
                 f"lambda = {params.lam} is not below the spectrum bottom {bottom}"
             )
-        kappas.append(bloch.bloch_modes(V, params.lam, check_spectrum=False).kappa)
-    kmin = min(kappas) if kappas else 1.0
+    L = cfg.get("L_dom")
+    if L is None and pots:
+        L = _auto_extent(pots, params.lam)
+    if L is not None:
+        L = _number(L, "L_dom")
+        if L <= 0:
+            raise ValidationError("L_dom: must be positive")
+        spec.grid = Grid.from_extent(L, h)
+    return spec
+
+
+def _number(value, where: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where}: expected a number, got {value!r}") from exc
+
+
+def _potentials(spec: ExperimentSpec) -> list:
+    """The potentials a solving kind needs lambda below the spectrum of: one
+    per medium side, the two shifted copies of V0 for a dislocation; none for
+    bloch scans and sweeps."""
+    if spec.kind == "dislocation":
+        return [spec.media["V0"].shifted(spec.tau), spec.media["V0"].shifted(-spec.tau)]
+    if spec.kind == "bloch":
+        return []
+    return [spec.media[key].V for key in ("medium", "side1", "side2") if key in spec.media]
+
+
+def _auto_extent(pots: list, lam: float) -> float:
+    """Domain half-width 12 / kappa_min so the truncated tail is ~e^-12."""
+    kmin = min(bloch.bloch_modes(V, lam).kappa for V in pots)
     return max(10.0, min(12.0 / kmin, 200.0))
 
 
@@ -216,7 +228,6 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         provenance={
             "version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "integrator_default_steps": bloch.DEFAULT_STEPS,
         },
     )
     opts = SolverOptions(tol=spec.tol, max_iter=spec.max_iter)

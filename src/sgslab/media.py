@@ -239,6 +239,13 @@ class FunctionDescriptor:
         d = self.sub(other)
         return d.inf_bound(), d.sup_bound()
 
+    def difference_sup_lower_bound(self, other: "FunctionDescriptor") -> float:
+        """Lower bound on sup(self - other): sup_lower_bound of sub(other)
+        within one family, the difference of the means across families."""
+        if not self._same_family(other):
+            return self.mean() - other.mean()
+        return self.sub(other).sup_lower_bound()
+
     def _same_family(self, other: "FunctionDescriptor") -> bool:
         return self.is_constant or other.is_constant or self.is_piecewise == other.is_piecewise
 
@@ -266,21 +273,32 @@ class FunctionDescriptor:
         descriptors, an amplitude-sum bound otherwise."""
         if self.segments:
             return max(v for _, _, v in self.segments)
-        return self.const + self._amplitude_sum()
+        return self.const + sum(self._amplitudes())
 
     def inf_bound(self) -> float:
         """Lower bound on inf f, with the same exactness as sup_bound."""
         if self.segments:
             return min(v for _, _, v in self.segments)
-        return self.const - self._amplitude_sum()
+        return self.const - sum(self._amplitudes())
 
-    def _amplitude_sum(self) -> float:
+    def sup_lower_bound(self) -> float:
+        """Lower bound on sup f, exact where sup_bound is exact.  Elsewhere it
+        is const + max_k A_k / 2, with A_k the amplitude of harmonic k: the
+        average of f against the weight 1 + cos(2 pi k x + phi_k), which is
+        non-negative with mean 1."""
+        amps = self._amplitudes()
+        if self.segments or len(amps) <= 1:
+            return self.sup_bound()
+        return self.const + max(amps) / 2.0
+
+    def _amplitudes(self) -> list[float]:
+        """Amplitude of each harmonic, its cos and sin terms combined."""
         amps: dict[int, list[float]] = {}
         for n, a in self.cos:
             amps.setdefault(n, [0.0, 0.0])[0] += a
         for n, a in self.sin:
             amps.setdefault(n, [0.0, 0.0])[1] += a
-        return sum(math.hypot(a, b) for a, b in amps.values())
+        return [math.hypot(a, b) for a, b in amps.values()]
 
     def sup_norm(self) -> float:
         return max(abs(self.sup_bound()), abs(self.inf_bound()))
@@ -290,10 +308,6 @@ class FunctionDescriptor:
         if self.segments:
             return sum((b - a) * v for a, b, v in self.segments)
         return self.const
-
-    def sample_max(self, n: int = 4096) -> float:
-        xs = (np.arange(n) + 0.5) / n
-        return float(np.max(self(xs)))
 
     # -- serialization ---------------------------------------------------------
 
@@ -332,18 +346,16 @@ class PeriodicMedium:
     """One side of the problem: a (V, Gamma) pair of 1-periodic coefficients.
 
     Gamma must take a positive value somewhere on the period (hypothesis that
-    makes the constraint set nonempty); construction fails otherwise.
+    makes the constraint set nonempty).  Construction fails unless
+    Gamma.sup_lower_bound() proves it, so a multi-harmonic Gamma whose
+    positive part that bound cannot see is rejected too.
     """
 
     V: FunctionDescriptor
     Gamma: FunctionDescriptor
 
     def __post_init__(self):
-        if self.Gamma.is_piecewise:
-            attained = max(v for _, _, v in self.Gamma.segments)
-        else:
-            attained = self.Gamma.sample_max()
-        if attained <= 0.0:
+        if self.Gamma.sup_lower_bound() <= 0.0:
             raise H2Violation("sup of Gamma over one period must be strictly positive")
 
 

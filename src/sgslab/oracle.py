@@ -1,8 +1,12 @@
 """Independent closed-form and brute-force references.
 
-These deliberately avoid the main code paths (different quadrature
-resolution, direct formulas) so tests can cross-validate the library against
-something it does not share internals with.
+The closed forms deliberately avoid the main code paths (different
+quadrature resolution, direct formulas) so tests can cross-validate the
+library against something it does not share internals with.
+
+`ansatz_upper_bound` is the exception, on purpose: it projects and evaluates
+its trial profiles with the solver's own discrete functional (`nehari_project`,
+`J_eval`), because it bounds the same discrete minimum the solver computes.
 """
 
 from __future__ import annotations

@@ -16,14 +16,15 @@ quadratic form positive definite (no checkerboard null modes), which a wide
 central-difference square would not.
 
 On the interior nodes that quadratic form is v^T L v with L tridiagonal, and
-so is the Jacobian of the Euler-Lagrange residual; the solver works with both
-in banded form (see solve_ground_state).
+so is the Jacobian of the Euler-Lagrange residual.  One banded operator,
+_Discretization, holds both; J_eval, G_eval, nehari_project, grad_J and the
+solver all evaluate the functional through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, solve_banded
@@ -40,7 +41,6 @@ from .errors import (
 from .media import (
     FunctionDescriptor,
     InterfaceMedium,
-    PeriodicMedium,
     ProblemParams,
     eval_medium,
 )
@@ -87,19 +87,18 @@ class GridFunction:
             raise ValueError("value count does not match the grid")
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite values")
+        if v[0] != 0.0 or v[-1] != 0.0:
+            raise ValueError("values at the Dirichlet ends must be zero")
 
     def with_values(self, v: np.ndarray) -> "GridFunction":
         v = np.array(v, dtype=float)
-        v[0] = 0.0
-        v[-1] = 0.0
+        v[0] = v[-1] = 0.0
         return GridFunction(grid=self.grid, values=v)
 
     @classmethod
     def from_callable(cls, grid: Grid, f) -> "GridFunction":
-        v = np.asarray(f(grid.x), dtype=float)
-        v = v.copy()
-        v[0] = 0.0
-        v[-1] = 0.0
+        v = np.array(f(grid.x), dtype=float)
+        v[0] = v[-1] = 0.0
         return cls(grid=grid, values=v)
 
 
@@ -108,8 +107,6 @@ class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 50_000
     seed_center: float | None = None
-    check_spectrum: bool = True
-    tail_fit: bool = True
     # strict=False returns the last state instead of raising when the
     # residual is still above tol once the minimization has stalled or the
     # budget has run out; used in regimes where the infimum is approached by
@@ -128,61 +125,88 @@ class GroundStateResult:
     decay_rate_fit: float | None = None
 
 
-def _medium_arrays(m, grid: Grid):
-    V, G = eval_medium(m, grid.x)
-    return np.asarray(V, dtype=float), np.asarray(G, dtype=float)
-
-
 def _trap_weights(grid: Grid) -> np.ndarray:
     w = np.full(grid.nodes, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
     return w
 
 
-def _quadratic_form(u: np.ndarray, Vl: np.ndarray, w: np.ndarray, h: float) -> float:
-    """Discrete int u'^2 + (V - lambda) u^2 (edge-difference kinetic term)."""
-    kin = float(np.sum(np.diff(u) ** 2)) / h
-    pot = float(np.sum(w * Vl * u * u))
-    return kin + pot
+@dataclass(frozen=True)
+class _Discretization:
+    """The discrete functional of one medium on one grid, on the interior
+    nodes v: quadratic form v^T L v with L = -D^2 + V - lambda the
+    (1, 1)-banded `band`, nonlinear mass sum wG |v|^{p+1} with wG = h Gamma.
+    V is kept on every node for the solver's seed."""
 
+    band: np.ndarray
+    wG: np.ndarray
+    V: np.ndarray
+    p: float
+    h: float
 
-def _nonlinear_mass(u: np.ndarray, G: np.ndarray, w: np.ndarray, p: float) -> float:
-    return float(np.sum(w * G * np.abs(u) ** (p + 1)))
+    @classmethod
+    def of(cls, m, params: ProblemParams, grid: Grid) -> "_Discretization":
+        V, G = eval_medium(m, grid.x)
+        h = grid.h
+        off = np.full(grid.nodes - 2, -1.0 / h)
+        band = np.vstack([off, 2.0 / h + h * (V[1:-1] - params.lam), off])
+        band[0, 0] = band[2, -1] = 0.0
+        return cls(band=band, wG=h * G[1:-1], V=V, p=params.p, h=h)
+
+    def apply_L(self, v: np.ndarray) -> np.ndarray:
+        Lv = self.band[1] * v
+        Lv[:-1] -= v[1:] / self.h
+        Lv[1:] -= v[:-1] / self.h
+        return Lv
+
+    def force(self, v: np.ndarray) -> np.ndarray:
+        """h Gamma |v|^{p-1} v, the gradient of nl / (p + 1)."""
+        return self.wG * np.abs(v) ** (self.p - 1.0) * v
+
+    def gradient(self, v: np.ndarray) -> np.ndarray:
+        """Gradient of J at v: h times the strong-form residual."""
+        return self.apply_L(v) - self.force(v)
+
+    def parts(self, v: np.ndarray) -> tuple[float, float]:
+        """(quadratic form, nonlinear mass) of v."""
+        return float(v @ self.apply_L(v)), float(v @ self.force(v))
+
+    def scale(self, v: np.ndarray) -> tuple[float, float, float]:
+        """(s, quad, nl): the scale with s^{p-1} = quad / nl that puts s v on
+        the constraint set, and the two parts of v."""
+        quad, nl = self.parts(v)
+        if nl <= 0.0:
+            raise NonprojectableState(
+                f"nonlinear mass {nl} is not positive; state cannot be scaled onto the constraint set"
+            )
+        if quad <= 0.0:
+            raise NonprojectableState(
+                f"quadratic form {quad} is not positive; lambda may not be below the spectrum"
+            )
+        return (quad / nl) ** (1.0 / (self.p - 1.0)), quad, nl
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """(1, 1)-banded Jacobian L - p h Gamma |u|^{p-1} of the gradient at u."""
+        jac = self.band.copy()
+        jac[1] -= self.p * self.wG * np.abs(u) ** (self.p - 1.0)
+        return jac
 
 
 def J_eval(u: GridFunction, m, params: ProblemParams) -> float:
     """Discrete energy functional."""
-    V, G = _medium_arrays(m, u.grid)
-    w = _trap_weights(u.grid)
-    quad = _quadratic_form(u.values, V - params.lam, w, u.grid.h)
-    nl = _nonlinear_mass(u.values, G, w, params.p)
+    quad, nl = _Discretization.of(m, params, u.grid).parts(u.values[1:-1])
     return 0.5 * quad - nl / (params.p + 1.0)
 
 
 def G_eval(u: GridFunction, m, params: ProblemParams) -> float:
     """Discrete constraint functional; zero on the constraint set."""
-    V, G = _medium_arrays(m, u.grid)
-    w = _trap_weights(u.grid)
-    quad = _quadratic_form(u.values, V - params.lam, w, u.grid.h)
-    nl = _nonlinear_mass(u.values, G, w, params.p)
+    quad, nl = _Discretization.of(m, params, u.grid).parts(u.values[1:-1])
     return quad - nl
 
 
 def nehari_project(u: GridFunction, m, params: ProblemParams):
     """Scale u onto the constraint set: s^{p-1} = quad form / nonlinear mass."""
-    V, G = _medium_arrays(m, u.grid)
-    w = _trap_weights(u.grid)
-    quad = _quadratic_form(u.values, V - params.lam, w, u.grid.h)
-    nl = _nonlinear_mass(u.values, G, w, params.p)
-    if nl <= 0.0:
-        raise NonprojectableState(
-            f"nonlinear mass {nl} is not positive; state cannot be scaled onto the constraint set"
-        )
-    if quad <= 0.0:
-        raise NonprojectableState(
-            f"quadratic form {quad} is not positive; lambda may not be below the spectrum"
-        )
-    s = (quad / nl) ** (1.0 / (params.p - 1.0))
+    s = _Discretization.of(m, params, u.grid).scale(u.values[1:-1])[0]
     return u.with_values(s * u.values), s
 
 
@@ -193,27 +217,18 @@ def grad_J(u: GridFunction, m, params: ProblemParams) -> np.ndarray:
     j equals h times the strong-form residual
     -u'' + (V - lambda) u - Gamma |u|^{p-1} u at node j (second-order stencil).
     """
-    V, G = _medium_arrays(m, u.grid)
-    w = _trap_weights(u.grid)
-    v = u.values
-    h = u.grid.h
-    g = np.zeros_like(v)
-    g[1:-1] = -(v[2:] - 2.0 * v[1:-1] + v[:-2]) / h
-    g[1:-1] += w[1:-1] * (
-        (V[1:-1] - params.lam) * v[1:-1] - G[1:-1] * np.abs(v[1:-1]) ** (params.p - 1.0) * v[1:-1]
-    )
+    g = np.zeros(u.grid.nodes)
+    g[1:-1] = _Discretization.of(m, params, u.grid).gradient(u.values[1:-1])
     return g
 
 
-def _seed(grid: Grid, m, params: ProblemParams, center: float | None) -> GridFunction:
+def _seed(grid: Grid, m, vbar: float, lam: float, center: float | None) -> np.ndarray:
+    """Interior values of a Gaussian of width 1 / sqrt(mean V - lambda) at
+    center (default 0 for an interface, 0.5 for a periodic medium)."""
     if center is None:
         center = 0.0 if isinstance(m, InterfaceMedium) else 0.5
-    V, _ = _medium_arrays(m, grid)
-    vbar = float(np.mean(V))
-    width = 1.0 / math.sqrt(max(vbar - params.lam, 0.25))
-    vals = np.exp(-((grid.x - center) / width) ** 2)
-    vals[0] = vals[-1] = 0.0
-    return GridFunction(grid=grid, values=vals)
+    width = 1.0 / math.sqrt(max(vbar - lam, 0.25))
+    return np.exp(-((grid.x[1:-1] - center) / width) ** 2)
 
 
 def _validate_spectrum(m, lam: float):
@@ -249,47 +264,27 @@ def solve_ground_state(
     The result is the critical point reached; its Morse index is not checked.
     """
     opts = opts or SolverOptions()
-    if opts.check_spectrum:
-        _validate_spectrum(m, params.lam)
+    _validate_spectrum(m, params.lam)
 
     p, h = params.p, grid.h
-    V, G = _medium_arrays(m, grid)
-    w = _trap_weights(grid)[1:-1]
-    off = np.full(len(w), -1.0 / h)
-    band = np.vstack([off, 2.0 / h + w * (V[1:-1] - params.lam), off])  # (1, 1) banded L
-    band[0, 0] = band[2, -1] = 0.0
-    wG = w * G[1:-1]
+    op = _Discretization.of(m, params, grid)
     try:
-        R = cholesky_banded(band[:2], check_finite=False)
+        R = cholesky_banded(op.band[:2], check_finite=False)
     except LinAlgError as exc:
         raise NonprojectableState(
             "quadratic form is not positive definite; lambda may not be below the spectrum"
         ) from exc
 
-    def force(v):
-        return wG * np.abs(v) ** (p - 1.0) * v
-
-    def apply_L(v):
-        Lv = band[1] * v
-        Lv[:-1] -= v[1:] / h
-        Lv[1:] -= v[:-1] / h
-        return Lv
-
     def project(v):
-        quad, nl = float(v @ apply_L(v)), float(v @ force(v))
-        if nl <= 0.0:
-            raise NonprojectableState(
-                f"nonlinear mass {nl} is not positive; state cannot be scaled onto the constraint set"
-            )
-        s = (quad / nl) ** (1.0 / (p - 1.0))
+        s, quad, nl = op.scale(v)
         u = s * v
-        g = apply_L(u) - force(u)
+        g = op.gradient(u)
         energy = 0.5 * s * s * quad - s ** (p + 1.0) * nl / (p + 1.0)
         return u, s, energy, g, float(np.linalg.norm(g / h)) * math.sqrt(h)
 
     def reduced(x):
         v = dtbtrs(R, x)[0]
-        f = force(v)
+        f = op.force(v)
         q, nl = float(x @ x), float(v @ f)
         if nl <= 0.0:
             return math.inf, np.zeros_like(x)
@@ -298,7 +293,7 @@ def solve_ground_state(
         return params.eta * q * s2, s2 * x - s2 ** ((p + 1.0) / 2.0) * back
 
     # ---- stage 1: L-BFGS-B on the projected energy, run until it stalls ----
-    u = project(_seed(grid, m, params, opts.seed_center).values[1:-1])[0]
+    u = project(_seed(grid, m, float(np.mean(op.V)), params.lam, opts.seed_center))[0]
     x0 = R[1] * u  # x0 = R u
     x0[:-1] += R[0, 1:] * u[1:]
     res = minimize(
@@ -322,8 +317,7 @@ def solve_ground_state(
     # step along that mode.  If the full step is rejected, the step with the
     # mode removed is tried; one inverse iteration, J^{-2} g, finds the mode.
     while residual >= opts.tol and it < opts.max_iter:
-        jac = band.copy()
-        jac[1] -= p * wG * np.abs(u) ** (p - 1.0)
+        jac = op.jacobian(u)
         try:
             step = solve_banded((1, 1), jac, g, check_finite=False)
             mode = solve_banded((1, 1), jac, step, check_finite=False)
@@ -361,10 +355,6 @@ def solve_ground_state(
     mass = float(np.sum(w * v * v))
     com = float(np.sum(w * grid.x * v * v)) / mass if mass > 0.0 else 0.0
 
-    decay = None
-    if opts.tail_fit:
-        decay = _fit_decay_rate(grid, v)
-
     return GroundStateResult(
         state=state,
         energy_c=energy,
@@ -372,7 +362,7 @@ def solve_ground_state(
         residual=residual,
         iterations=it,
         center_of_mass=com,
-        decay_rate_fit=decay,
+        decay_rate_fit=_fit_decay_rate(grid, v),
     )
 
 

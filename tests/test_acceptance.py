@@ -101,7 +101,7 @@ def test_acceptance_02_constant_bloch_reference():
 def test_acceptance_03_decay_exponent_bounds():
     sup = MATHIEU.sup_norm()
     for lam in (-10.0, -1e2, -1e3, -1e4):
-        bd = bloch.bloch_modes(MATHIEU, lam, check_spectrum=False)
+        bd = bloch.bloch_modes(MATHIEU, lam)
         assert math.sqrt(-sup - lam) <= bd.kappa <= math.sqrt(sup - lam)
 
 

@@ -61,7 +61,7 @@ def test_bloch_modes_constant_reference():
 
 
 def test_bloch_modes_band_edge_kappa_small():
-    bd = bloch.bloch_modes(V_CONST, 0.999, check_spectrum=False)
+    bd = bloch.bloch_modes(V_CONST, 0.999)
     assert bd.kappa == pytest.approx(math.sqrt(0.001), rel=1e-4)
 
 
@@ -74,7 +74,7 @@ def test_kappa_bounds():
     # decay exponent bounded by sqrt(-sup|V| - lambda) and sqrt(sup|V| - lambda)
     sup = V_MATHIEU.sup_norm()
     for lam in (-5.0, -10.0, -100.0):
-        bd = bloch.bloch_modes(V_MATHIEU, lam, check_spectrum=False)
+        bd = bloch.bloch_modes(V_MATHIEU, lam)
         assert math.sqrt(-sup - lam) <= bd.kappa <= math.sqrt(sup - lam)
 
 
@@ -93,13 +93,13 @@ def test_discriminant_monotone_below_bottom():
 
 
 def test_step_halving_converged():
-    k1 = bloch.bloch_modes(V_MATHIEU, -5.0, steps=4096, check_spectrum=False).kappa
-    k2 = bloch.bloch_modes(V_MATHIEU, -5.0, steps=8192, check_spectrum=False).kappa
+    k1 = bloch.bloch_modes(V_MATHIEU, -5.0, steps=4096).kappa
+    k2 = bloch.bloch_modes(V_MATHIEU, -5.0, steps=8192).kappa
     assert abs(k1 - k2) <= 1e-9
 
 
 def test_positive_periodic_parts():
-    bd = bloch.bloch_modes(V_MATHIEU, -2.0, check_spectrum=False)
+    bd = bloch.bloch_modes(V_MATHIEU, -2.0)
     assert bd.p_plus.min() > 0
     assert bd.p_minus.min() > 0
     assert bd.p_plus.max() == pytest.approx(1.0, abs=1e-10)

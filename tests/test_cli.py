@@ -268,3 +268,58 @@ def test_report_echoes_config(tmp_path):
     cfg = write_cfg(tmp_path, "echo.json", raw)
     report = run_experiment(parse_config(cfg))
     assert report.spec_echo == raw
+
+
+IN_SPECTRUM = {
+    "groundstate": {"kind": "groundstate", "medium": {"V": 1.0, "Gamma": 1.0}},
+    "dislocation": {"kind": "dislocation", "V0": 1.0, "Gamma0": 1.0, "tau": 0.25},
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind", sorted(IN_SPECTRUM))
+def test_cli_lambda_in_spectrum_exits_2(tmp_path, capsys, kind, command):
+    # lambda = 2 lies in the spectrum [1, inf); with L_dom given no automatic
+    # extent asks for the decay exponent, so only the parse-time gate sees it
+    raw = dict(IN_SPECTRUM[kind], L_dom=10.0, **{"lambda": 2.0})
+    cfg = write_cfg(tmp_path, "inspec.json", raw)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, cfg, *out]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: lambda = 2.0 is not below the spectrum bottom" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tol", "x"), ("max_iter", "many"), ("h", None), ("L_dom", "ten"), ("tau", [0.25]),
+     ("lambda_list", [-1.0, "deep"]), ("lambda_list", -1.0)],
+    ids=["tol", "max_iter", "h", "L_dom", "tau", "lambda_list-entry", "lambda_list-scalar"],
+)
+def test_non_numeric_field_is_a_validation_error(tmp_path, capsys, field, value):
+    base = {"kind": "groundstate", "medium": {"V": 1.0, "Gamma": 1.0}, "L_dom": 10.0, "h": 0.05}
+    raw = dict(base, **{field: value})
+    with pytest.raises(ValidationError, match=f"^{field}"):
+        parse_config(raw)
+    cfg = write_cfg(tmp_path, "bad.json", raw)
+    assert main(["validate", cfg]) == 2
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"validation error: {field}" in capsys.readouterr().err
+
+
+def test_sweep_row_with_non_numeric_tol_is_an_error_row(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        "sweep.json",
+        {
+            "kind": "sweep",
+            "base_kind": "bloch",
+            "V": {"const": 1.0},
+            "lambda": -1.0,
+            "t_list": "abc",  # not a config field: ignored like any unknown key
+            "sweep": {"parameter": "tol", "values": [1e-8, "x"]},
+        },
+    )
+    report = run_experiment(parse_config(cfg))
+    assert "results" in report.results[0]
+    assert report.results[1]["error"].startswith("tol:")

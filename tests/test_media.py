@@ -147,6 +147,21 @@ def test_h2_violation():
         PeriodicMedium(V=FunctionDescriptor(const=1.0), Gamma=FunctionDescriptor(const=-1.0))
 
 
+def test_h2_fine_harmonic_gamma_accepted():
+    # sup Gamma = 1e-3, but every point of a 4096-sample grid sits on a zero
+    # of the sine, where Gamma = -1e-3
+    G = FunctionDescriptor(const=-1e-3, sin=((4096, 2e-3),))
+    PeriodicMedium(V=FunctionDescriptor(const=1.0), Gamma=G)
+    assert G.sup_lower_bound() == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_sup_lower_bound_multi_harmonic():
+    # const + max_k A_k / 2, with cos and sin of one frequency combined
+    f = FunctionDescriptor(const=0.1, cos=((1, 0.3), (2, 0.6)), sin=((2, 0.8),))
+    assert f.sup_lower_bound() == pytest.approx(0.1 + 0.5, rel=1e-15)
+    assert f.sup_bound() == pytest.approx(0.1 + 0.3 + 1.0, rel=1e-15)
+
+
 def test_eval_medium_dispatch():
     m1 = PeriodicMedium(FunctionDescriptor(const=1.0), FunctionDescriptor(const=1.0))
     m2 = PeriodicMedium(FunctionDescriptor(const=2.0), FunctionDescriptor(const=1.0))

@@ -4,7 +4,7 @@ certificate, on random trigonometric (up to 3 harmonics) and piecewise
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgslab import criteria
@@ -92,6 +92,22 @@ def test_range_bounds_enclose_dense_samples(f):
     x = np.concatenate([DENSE, breaks(f)])
     assert f.inf_bound() <= float(np.min(f(x))) + 1e-12
     assert f.sup_bound() >= float(np.max(f(x))) - 1e-12
+
+
+@SETTINGS
+@given(descriptors)
+# sup = 3/4 at cos(2 pi x) = 1/2, below const + max_k A_k = 1
+@example(FunctionDescriptor(cos=((1, 1.0), (2, -0.5))))
+def test_sup_lower_bound_below_dense_max(f):
+    # sampled with spacing dx, the max misses sup f by at most
+    # sup|f''| (dx / 2)^2 / 2; piecewise maxima sit on the breakpoints
+    top = max((n for n, _ in f.cos + f.sin), default=1)
+    dx = 1.0 / (128 * top)
+    x = np.concatenate([np.arange(128 * top) * dx, breaks(f)])
+    curvature = sum((2.0 * np.pi * n) ** 2 * abs(a) for n, a in f.cos + f.sin)
+    dense_max = float(np.max(f(x)))
+    assert f.sup_lower_bound() <= dense_max + curvature * dx * dx / 8.0 + 1e-12
+    assert dense_max <= f.sup_bound() + 1e-12
 
 
 @SETTINGS

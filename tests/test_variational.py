@@ -56,6 +56,14 @@ def test_grid_alignment():
     assert g.x[0] == -10.0 and g.x[-1] == 10.0
 
 
+@pytest.mark.parametrize("end", [0, -1])
+def test_grid_function_rejects_nonzero_end(grid, end):
+    vals = np.zeros(grid.nodes)
+    vals[end] = 1e-3
+    with pytest.raises(ValueError, match="Dirichlet"):
+        GridFunction(grid=grid, values=vals)
+
+
 def test_functionals_zero_state(grid):
     z = GridFunction(grid=grid, values=np.zeros(grid.nodes))
     assert J_eval(z, CONST, P3) == 0.0
@@ -263,3 +271,8 @@ def test_solver_pinned_energies(grid, medium, tol, seed_center, energy):
     res = solve_ground_state(medium, P3, grid, SolverOptions(tol=tol, seed_center=seed_center))
     assert res.residual < tol
     assert res.energy_c == pytest.approx(energy, rel=1e-10)
+    # the public functionals are the solver's own discretization
+    assert J_eval(res.state, medium, P3) == pytest.approx(res.energy_c, rel=1e-12)
+    g = grad_J(res.state, medium, P3)[1:-1]
+    residual = float(np.linalg.norm(g / grid.h)) * math.sqrt(grid.h)
+    assert residual == pytest.approx(res.residual, rel=1e-6)
