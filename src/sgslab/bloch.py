@@ -192,7 +192,7 @@ def discriminant(V: FunctionDescriptor, lam: float, steps: int | None = None) ->
 
 
 @functools.lru_cache(maxsize=256)
-def spectrum_min(V: FunctionDescriptor, tol: float = 1e-10) -> float:
+def spectrum_min(V: FunctionDescriptor) -> float:
     """Bottom of the spectrum: the smallest lambda with discriminant equal
     to 2, located by a scan plus root bracketing.  Memoized per (frozen,
     hashable) descriptor: the spectrum checks of a run repeat it."""
@@ -208,7 +208,7 @@ def spectrum_min(V: FunctionDescriptor, tol: float = 1e-10) -> float:
         raise BracketFailure(
             f"no discriminant sign change in [{lo}, {hi}] for the given potential"
         )
-    return float(brentq(f, grid[cross[0]], grid[cross[0] + 1], xtol=tol))
+    return float(brentq(f, grid[cross[0]], grid[cross[0] + 1], xtol=1e-10))
 
 
 def _eigvec(m11, m12, m21, m22, rho):

@@ -316,22 +316,21 @@ def scaled_interface_check(
     k: int,
     gamma: float,
     params: ProblemParams,
-    n: int = 1,
 ) -> CriterionReport:
     """Existence test for the interface built from a medium and its
     frequency-scaled copy V1(x) = k^2 V2(kx), Gamma1(x) = gamma^2 Gamma2(kx).
 
-    Certifies when sup V2 < k^2 inf V2 and
-    k^{(n+2-p(n-2))/(p-1)} <= gamma^{4/(p-1)}; also reports the exact
-    predicted half-line energy ratio c1/c2 = (k/gamma)^{4/(p-1)} k^{2-n}.
+    Certifies when sup V2 < k^2 inf V2 and k^{(p+3)/(p-1)} <= gamma^{4/(p-1)};
+    also reports the exact predicted half-line energy ratio
+    c1/c2 = (k/gamma)^{4/(p-1)} k (the dimension-n formulas at n = 1).
     """
     m1 = scaled_pair(m2, k, gamma)  # raises InvalidScale for bad k
     sup2 = m2.V.sup_bound()
     inf2 = m2.V.inf_bound()
     p = params.p
-    lhs_exp = float(k) ** ((n + 2.0 - p * (n - 2.0)) / (p - 1.0))
+    lhs_exp = float(k) ** ((3.0 + p) / (p - 1.0))
     rhs_exp = float(gamma) ** (4.0 / (p - 1.0))
-    ratio = (k / gamma) ** (4.0 / (p - 1.0)) * float(k) ** (2.0 - n)
+    ratio = (k / gamma) ** (4.0 / (p - 1.0)) * float(k)
     cond_pot = sup2 < k * k * inf2 - CERT_TOL
     cond_exp = lhs_exp <= rhs_exp + CERT_TOL
     inter = {

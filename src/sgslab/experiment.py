@@ -24,6 +24,7 @@ from .errors import (
     NoConvergence,
     ParseError,
     SgsLabError,
+    SpectralAssumptionViolated,
     ValidationError,
 )
 from .media import (
@@ -34,7 +35,7 @@ from .media import (
     dislocate,
     eval_medium,
 )
-from .variational import Grid, SolverOptions, solve_ground_state
+from .variational import Grid, SolverOptions, _validate_spectrum, solve_ground_state
 
 KINDS = ("bloch", "groundstate", "interface", "criteria", "dislocation", "sweep")
 
@@ -43,7 +44,7 @@ KINDS = ("bloch", "groundstate", "interface", "criteria", "dislocation", "sweep"
 class ExperimentSpec:
     kind: str
     params: ProblemParams
-    media: dict = field(default_factory=dict)          # descriptor objects by role
+    media: dict = field(default_factory=dict)          # "medium" is the one a kind solves
     grid: Grid | None = None
     tol: float = 1e-8
     max_iter: int = 50_000
@@ -55,24 +56,21 @@ class ExperimentSpec:
 
 @dataclass
 class Report:
+    """The JSON results plus the curve data written beside them: solved
+    states as (grid, values, medium) for profiles.csv, Bloch scan rows for
+    bands.csv."""
+
     spec_echo: dict
     results: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
+    profiles: list = field(default_factory=list)
+    bands: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        """The serializable report; underscore keys (curve data) are left out."""
-        return {
-            "spec": self.spec_echo,
-            "results": _strip_profiles(self.results),
-            "provenance": self.provenance,
-        }
+        return {"spec": self.spec_echo, "results": self.results, "provenance": self.provenance}
 
 
 def _descriptor(node, where: str) -> FunctionDescriptor:
-    if isinstance(node, (int, float)):
-        node = {"const": float(node)}
-    if not isinstance(node, dict):
-        raise ValidationError(f"{where}: expected a number or descriptor object")
     try:
         return FunctionDescriptor.from_json(node)
     except (SgsLabError, TypeError, ValueError) as exc:
@@ -92,8 +90,11 @@ def _medium(node, where: str) -> PeriodicMedium:
 
 def parse_config(source) -> ExperimentSpec:
     """Validate an experiment config, filling defaults (tol 1e-8, h 0.01,
-    domain half-width from the decay exponent).  source is the path of a
-    JSON file or an already-loaded config dict."""
+    domain half-width from the decay exponent), and build the medium a
+    solving kind runs as media["medium"]: the medium itself, the interface
+    of side1 and side2, or the dislocation of V0 and Gamma0 by tau.  lambda
+    must lie below the spectrum of each of its sides.  source is the path of
+    a JSON file or an already-loaded config dict."""
     if isinstance(source, dict):
         cfg = source
     else:
@@ -112,37 +113,43 @@ def parse_config(source) -> ExperimentSpec:
     if kind not in KINDS:
         raise ValidationError(f"kind: expected one of {KINDS}, got {kind!r}")
 
-    p = cfg.get("p", 3.0)
-    lam = cfg.get("lambda", 0.0)
     try:
-        params = ProblemParams(p=float(p), lam=float(lam))
-    except (TypeError, ValueError) as exc:
+        params = ProblemParams(
+            p=_number(cfg.get("p", 3.0), "p"), lam=_number(cfg.get("lambda", 0.0), "lambda")
+        )
+    except ValueError as exc:
         raise ValidationError(f"params: {exc}") from exc
 
     spec = ExperimentSpec(kind=kind, params=params, raw=cfg)
-    spec.tol = _number(cfg.get("tol", 1e-8), "tol")
-    spec.max_iter = _number(cfg.get("max_iter", 50_000), "max_iter", int)
+    spec.tol = _tol(cfg.get("tol", 1e-8), "tol")
+    max_iter = _number(cfg.get("max_iter", 50_000), "max_iter")
+    if not (max_iter >= 1 and max_iter.is_integer()):
+        raise ValidationError(f"max_iter: must be a whole number at least 1, got {max_iter:g}")
+    spec.max_iter = int(max_iter)
     spec.tau = _number(cfg.get("tau", 0.0), "tau")
 
-    media = {}
-    if kind in ("groundstate", "bloch"):
-        if kind == "groundstate" or "medium" in cfg:
-            media["medium"] = _medium(cfg.get("medium", cfg), "medium")
+    media = spec.media
+    if kind == "groundstate":
+        media["medium"] = _medium(cfg.get("medium", cfg), "medium")
+    elif kind == "bloch":
+        if "medium" in cfg:
+            media["V"] = _medium(cfg["medium"], "medium").V
         elif "V" in cfg:
             media["V"] = _descriptor(cfg["V"], "V")
         else:
             raise ValidationError("bloch: config needs a medium or a V descriptor")
     elif kind in ("interface", "criteria"):
-        media["side1"] = _medium(cfg.get("side1"), "side1")
-        media["side2"] = _medium(cfg.get("side2"), "side2")
+        media["medium"] = compose_interface(
+            _medium(cfg.get("side1"), "side1"), _medium(cfg.get("side2"), "side2")
+        )
     elif kind == "dislocation":
         media["V0"] = _descriptor(cfg.get("V0"), "V0")
         media["Gamma0"] = _descriptor(cfg.get("Gamma0", 1.0), "Gamma0")
         try:
-            PeriodicMedium(V=media["V0"], Gamma=media["Gamma0"])
+            media["medium"] = dislocate(media["V0"], media["Gamma0"], spec.tau)
         except H2Violation as exc:
             raise ValidationError(f"Gamma0: {exc}") from exc
-    elif kind == "sweep":
+    else:  # sweep
         axis = cfg.get("sweep")
         if (
             not isinstance(axis, dict)
@@ -151,11 +158,6 @@ def parse_config(source) -> ExperimentSpec:
         ):
             raise ValidationError("sweep: needs {parameter, values} object")
         spec.sweep = (axis["parameter"], list(axis["values"]))
-        base = dict(cfg)
-        base["kind"] = cfg.get("base_kind", "groundstate")
-        spec.raw = cfg
-        media["_base"] = base
-    spec.media = media
 
     if "lambda_list" in cfg:
         values = cfg["lambda_list"]
@@ -166,16 +168,15 @@ def parse_config(source) -> ExperimentSpec:
     h = _number(cfg.get("h", 0.01), "h")
     if h <= 0:
         raise ValidationError("h: must be positive")
-    pots = _potentials(spec)
-    for V in pots:
-        bottom = bloch.spectrum_min(V)
-        if params.lam >= bottom:
-            raise ValidationError(
-                f"lambda = {params.lam} is not below the spectrum bottom {bottom}"
-            )
+    solved = media.get("medium")
+    if solved is not None:
+        try:
+            _validate_spectrum(solved, params.lam)
+        except SpectralAssumptionViolated as exc:
+            raise ValidationError(str(exc)) from exc
     L = cfg.get("L_dom")
-    if L is None and pots:
-        L = _auto_extent(pots, params.lam)
+    if L is None and solved is not None:
+        L = _auto_extent([side.V for side in solved.sides], params.lam)
     if L is not None:
         L = _number(L, "L_dom")
         if L <= 0:
@@ -184,22 +185,21 @@ def parse_config(source) -> ExperimentSpec:
     return spec
 
 
-def _number(value, where: str, kind=float):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where}: expected a number, got {value!r}") from exc
+def _number(value, where: str) -> float:
+    """value as a number; a JSON boolean is not one."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{where}: expected a number, got {value!r}")
 
 
-def _potentials(spec: ExperimentSpec) -> list:
-    """The potentials a solving kind needs lambda below the spectrum of: one
-    per medium side, the two shifted copies of V0 for a dislocation; none for
-    bloch scans and sweeps."""
-    if spec.kind == "dislocation":
-        return [spec.media["V0"].shifted(spec.tau), spec.media["V0"].shifted(-spec.tau)]
-    if spec.kind == "bloch":
-        return []
-    return [spec.media[key].V for key in ("medium", "side1", "side2") if key in spec.media]
+def _tol(value, where: str) -> float:
+    tol = _number(value, where)
+    if not tol > 0:
+        raise ValidationError(f"{where}: must be positive, got {tol}")
+    return tol
 
 
 def _auto_extent(pots: list, lam: float) -> float:
@@ -211,7 +211,6 @@ def _auto_extent(pots: list, lam: float) -> float:
 def _summarize_state(res, grid: Grid) -> dict:
     return {
         "energy_c": res.energy_c,
-        "nehari_scale_s": res.nehari_scale_s,
         "residual": res.residual,
         "iterations": res.iterations,
         "center_of_mass": res.center_of_mass,
@@ -232,13 +231,13 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     )
     opts = SolverOptions(tol=spec.tol, max_iter=spec.max_iter)
 
+    m = spec.media.get("medium")
     if spec.kind == "bloch":
-        V = spec.media["medium"].V if "medium" in spec.media else spec.media["V"]
         lam_list = spec.lambda_list or [spec.params.lam]
         rows = []
         for lam in lam_list:
             try:
-                bd = bloch.bloch_modes(V, lam)
+                bd = bloch.bloch_modes(spec.media["V"], lam)
                 rows.append(
                     {
                         "lambda": float(lam),
@@ -249,20 +248,16 @@ def run_experiment(spec: ExperimentSpec) -> Report:
             except SgsLabError as exc:
                 rows.append({"lambda": lam, "error": str(exc)})
         report.results.append({"kind": "bloch", "bands": rows})
+        report.bands.extend(rows)
 
     elif spec.kind == "groundstate":
-        res = solve_ground_state(spec.media["medium"], spec.params, spec.grid, opts)
-        summary = _summarize_state(res, spec.grid)
-        report.results.append({"kind": "groundstate", "result": summary})
-        report.results[-1]["_profile"] = (spec.grid, res.state.values, spec.media["medium"])
+        res = solve_ground_state(m, spec.params, spec.grid, opts)
+        report.results.append({"kind": "groundstate", "result": _summarize_state(res, spec.grid)})
+        report.profiles.append((spec.grid, res.state.values, m))
 
     elif spec.kind in ("interface", "criteria"):
-        m1, m2 = spec.media["side1"], spec.media["side2"]
-        m = compose_interface(m1, m2)
-        c_sides = []
-        for side in (m1, m2):
-            r = solve_ground_state(side, spec.params, spec.grid, opts)
-            c_sides.append(r.energy_c)
+        m1, m2 = m.sides
+        c_sides = [solve_ground_state(s, spec.params, spec.grid, opts).energy_c for s in m.sides]
         res = solve_ground_state(m, spec.params, spec.grid, opts)
         verdict = criteria.energy_verdict(res.energy_c, c_sides[0], c_sides[1], tol=10 * spec.tol)
         entry = {
@@ -284,80 +279,61 @@ def run_experiment(spec: ExperimentSpec) -> Report:
                 entry["boundary_condition"] = criteria.boundary_condition(m1.V, m2.V).to_json()
             except SgsLabError as exc:
                 entry["boundary_condition"] = {"error": str(exc)}
-        entry["_profile"] = (spec.grid, res.state.values, m)
         report.results.append(entry)
+        report.profiles.append((spec.grid, res.state.values, m))
 
     elif spec.kind == "dislocation":
-        V0, G0 = spec.media["V0"], spec.media["Gamma0"]
-        rep = criteria.dislocation_report(V0, G0, spec.tau, spec.params.lam)
+        rep = criteria.dislocation_report(
+            spec.media["V0"], spec.media["Gamma0"], spec.tau, spec.params.lam
+        )
         entry = {"kind": "dislocation", "criterion": rep.to_json()}
-        if spec.grid is not None and spec.tau != 0.0:
-            m = dislocate(V0, G0, spec.tau)
+        if spec.tau != 0.0:
             res = solve_ground_state(m, spec.params, spec.grid, opts)
             entry["result"] = _summarize_state(res, spec.grid)
-            entry["_profile"] = (spec.grid, res.state.values, m)
+            report.profiles.append((spec.grid, res.state.values, m))
         report.results.append(entry)
 
-    elif spec.kind == "sweep":
+    else:  # sweep: the rows' curve data is not written
         name, values = spec.sweep
         for i, value in enumerate(values):
-            row_cfg = dict(spec.media["_base"])
+            # spec.tol carries a `run --tol` override; a swept tol still wins
+            row_cfg = dict(spec.raw, kind=spec.raw.get("base_kind", "groundstate"), tol=spec.tol)
             row_cfg.pop("sweep", None)
             row_cfg.pop("base_kind", None)
             row_cfg[name] = value
             try:
                 row_report = run_experiment(parse_config(row_cfg))
-                report.results.append(
-                    {"row": i, name: value, "results": _strip_profiles(row_report.results)}
-                )
+                report.results.append({"row": i, name: value, "results": row_report.results})
             except SgsLabError as exc:
                 report.results.append({"row": i, name: value, "error": str(exc)})
     return report
-
-
-def _strip_profiles(results):
-    out = []
-    for entry in results:
-        out.append({k: v for k, v in entry.items() if not k.startswith("_")})
-    return out
 
 
 def emit_report(report: Report, out_dir) -> list:
     """Write report.json plus any CSV curve files; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    profiles = []
-    bands = []
-    for entry in report.results:
-        prof = entry.get("_profile")
-        if prof is not None:
-            profiles.append(prof)
-        if entry.get("kind") == "bloch":
-            bands.extend(entry["bands"])
-
     rpt = out / "report.json"
     rpt.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    paths.append(rpt)
+    paths = [rpt]
 
-    if profiles:
+    if report.profiles:
         ppath = out / "profiles.csv"
         with ppath.open("w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["x", "u", "V", "Gamma"])
-            for grid, values, medium in profiles:
+            for grid, values, medium in report.profiles:
                 V, G = eval_medium(medium, grid.x)
                 for xi, ui, vi, gi in zip(grid.x, values, np.atleast_1d(V), np.atleast_1d(G)):
                     wr.writerow([repr(float(xi)), repr(float(ui)), repr(float(vi)), repr(float(gi))])
         paths.append(ppath)
 
-    if bands:
+    if report.bands:
         bpath = out / "bands.csv"
         with bpath.open("w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["lambda", "discriminant", "kappa"])
-            for row in bands:
+            for row in report.bands:
                 if "error" in row:
                     continue
                 wr.writerow(
@@ -388,6 +364,8 @@ def main(argv=None) -> int:
 
     try:
         spec = parse_config(args.config)
+        if args.command == "run" and args.tol is not None:
+            spec.tol = _tol(args.tol, "--tol")
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -399,13 +377,8 @@ def main(argv=None) -> int:
         print(f"config ok: kind={spec.kind}")
         return 0
 
-    if args.tol is not None:
-        spec.tol = args.tol
     try:
         report = run_experiment(spec)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
     except NoConvergence as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3

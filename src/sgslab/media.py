@@ -325,7 +325,9 @@ class FunctionDescriptor:
 
     @staticmethod
     def from_json(data) -> "FunctionDescriptor":
-        if isinstance(data, (int, float)):
+        """A descriptor from a number or a {const, cos, sin, segments} object;
+        a JSON boolean is not a number anywhere in it."""
+        if isinstance(data, (int, float)) and not isinstance(data, bool):
             return FunctionDescriptor.constant(float(data))
         if not isinstance(data, dict):
             raise ValueError(f"descriptor must be a number or an object, got {type(data).__name__}")
@@ -333,6 +335,11 @@ class FunctionDescriptor:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown descriptor fields: {sorted(unknown)}")
+        values = [data.get("const")]
+        for key in ("cos", "sin", "segments"):
+            values += [x for row in data.get(key, ()) for x in row]
+        if any(isinstance(x, bool) for x in values):
+            raise ValueError("descriptor values must be numbers, not booleans")
         return FunctionDescriptor(
             const=data.get("const", 0.0),
             cos=tuple((n, a) for n, a in data.get("cos", ())),
@@ -358,6 +365,11 @@ class PeriodicMedium:
         if self.Gamma.sup_lower_bound() <= 0.0:
             raise H2Violation("sup of Gamma over one period must be strictly positive")
 
+    @property
+    def sides(self) -> tuple:
+        """The periodic media the medium is made of: itself alone."""
+        return (self,)
+
 
 @dataclass(frozen=True)
 class InterfaceMedium:
@@ -367,6 +379,10 @@ class InterfaceMedium:
 
     side1: PeriodicMedium
     side2: PeriodicMedium
+
+    @property
+    def sides(self) -> tuple:
+        return (self.side1, self.side2)
 
 
 Medium = PeriodicMedium | InterfaceMedium

@@ -118,7 +118,6 @@ class SolverOptions:
 class GroundStateResult:
     state: GridFunction
     energy_c: float
-    nehari_scale_s: float
     residual: float
     iterations: int
     center_of_mass: float
@@ -232,12 +231,13 @@ def _seed(grid: Grid, m, vbar: float, lam: float, center: float | None) -> np.nd
 
 
 def _validate_spectrum(m, lam: float):
-    sides = (m.side1, m.side2) if isinstance(m, InterfaceMedium) else (m,)
-    for i, side in enumerate(sides, start=1):
+    """The spectral gate: lambda below min sigma(-d^2/dx^2 + V) of every side
+    of m.  parse_config runs it too, so a config fails before any solve."""
+    for side in m.sides:
         bottom = bloch.spectrum_min(side.V)
         if lam >= bottom:
             raise SpectralAssumptionViolated(
-                f"lambda = {lam} is not below the spectrum bottom {bottom} of side {i}"
+                f"lambda = {lam} is not below the spectrum bottom {bottom}"
             )
 
 
@@ -280,7 +280,7 @@ def solve_ground_state(
         u = s * v
         g = op.gradient(u)
         energy = 0.5 * s * s * quad - s ** (p + 1.0) * nl / (p + 1.0)
-        return u, s, energy, g, float(np.linalg.norm(g / h)) * math.sqrt(h)
+        return u, energy, g, float(np.linalg.norm(g / h)) * math.sqrt(h)
 
     def reduced(x):
         v = dtbtrs(R, x)[0]
@@ -309,7 +309,7 @@ def solve_ground_state(
         },
     )
     it = int(res.nit)
-    u, s, energy, g, residual = project(dtbtrs(R, res.x)[0])
+    u, energy, g, residual = project(dtbtrs(R, res.x)[0])
 
     # ---- stage 2: banded Newton finish ----
     # A near-null Jacobian mode (a state in a constant medium, whose
@@ -330,12 +330,12 @@ def solve_ground_state(
                 trial = project(u - d)
             except NonprojectableState:
                 continue
-            if trial[4] < residual and trial[2] <= energy + 1e-12 * abs(energy):
+            if trial[3] < residual and trial[1] <= energy + 1e-12 * abs(energy):
                 cand = trial
                 break
         if cand is None:
             break
-        u, s, energy, g, residual = cand
+        u, energy, g, residual = cand
         it += 1
 
     if residual >= opts.tol and opts.strict:
@@ -358,7 +358,6 @@ def solve_ground_state(
     return GroundStateResult(
         state=state,
         energy_c=energy,
-        nehari_scale_s=s,
         residual=residual,
         iterations=it,
         center_of_mass=com,
@@ -368,13 +367,14 @@ def solve_ground_state(
 
 def _fit_decay_rate(grid: Grid, v: np.ndarray) -> float | None:
     """Least-squares slope of log|u| over the outer 20% of the domain,
-    averaged over the two tails; None where the tail is at round-off."""
+    averaged over the two tails; None where the tail is at round-off or has
+    fewer than two nodes."""
     n = grid.nodes
     k = max(4, n // 5)
     rates = []
     for sl, sign in ((slice(1, k), 1.0), (slice(n - k, n - 1), -1.0)):
         seg = np.abs(v[sl])
-        if seg.min() < 1e-14 * max(1.0, np.abs(v).max()):
+        if seg.size < 2 or seg.min() < 1e-14 * max(1.0, np.abs(v).max()):
             continue
         xs = grid.x[sl]
         slope = np.polyfit(xs, np.log(seg), 1)[0]
@@ -410,15 +410,14 @@ def d_coefficients(
     return d_plus, d_minus
 
 
-def envelope_check(
-    w: GridFunction, bd: bloch.BlochData, x0: float, epsilon_shift: float = 0.0
-):
+def envelope_check(w: GridFunction, bd: bloch.BlochData, x0: float):
     """Pointwise exponential-envelope bound with the periodic-factor
     oscillation constant P = max of (sup p)/(inf p) over the two modes.
 
-    bd should be computed at lambda + epsilon_shift; the check allows a 5%
-    multiplicative slack.  Returns (holds, margin) where margin is the minimum
-    of bound/value over the tested nodes (+inf if the tail vanishes)."""
+    bd is usually taken at a slightly raised lambda (a slower decay rate than
+    the profile's own); the check allows a 5% multiplicative slack.  Returns
+    (holds, margin) where margin is the minimum of bound/value over the
+    tested nodes (+inf if the tail vanishes)."""
     P = max(
         float(bd.p_plus.max() / bd.p_plus.min()),
         float(bd.p_minus.max() / bd.p_minus.min()),

@@ -7,8 +7,10 @@ import tempfile
 
 import pytest
 
+from sgslab import bloch
 from sgslab.errors import ParseError, ValidationError
 from sgslab.experiment import emit_report, main, parse_config, run_experiment
+from sgslab.media import FunctionDescriptor
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -270,9 +272,13 @@ def test_report_echoes_config(tmp_path):
     assert report.spec_echo == raw
 
 
+# in the interface kinds only side 2 (V = 1) has lambda = 2 in its spectrum
+SIDES = {"side1": {"V": 3.0, "Gamma": 1.0}, "side2": {"V": 1.0, "Gamma": 1.0}}
 IN_SPECTRUM = {
     "groundstate": {"kind": "groundstate", "medium": {"V": 1.0, "Gamma": 1.0}},
     "dislocation": {"kind": "dislocation", "V0": 1.0, "Gamma0": 1.0, "tau": 0.25},
+    "interface": dict(SIDES, kind="interface"),
+    "criteria": dict(SIDES, kind="criteria"),
 }
 
 
@@ -293,10 +299,29 @@ def test_cli_lambda_in_spectrum_exits_2(tmp_path, capsys, kind, command):
 @pytest.mark.parametrize(
     "field, value",
     [("tol", "x"), ("max_iter", "many"), ("h", None), ("L_dom", "ten"), ("tau", [0.25]),
-     ("lambda_list", [-1.0, "deep"]), ("lambda_list", -1.0)],
-    ids=["tol", "max_iter", "h", "L_dom", "tau", "lambda_list-entry", "lambda_list-scalar"],
+     ("lambda_list", [-1.0, "deep"]), ("lambda_list", -1.0),
+     ("tol", True), ("max_iter", True), ("lambda", False), ("tau", True), ("h", True),
+     ("medium", {"V": True, "Gamma": 1.0}), ("medium", {"V": 1.0, "Gamma": {"const": True}})],
+    ids=["tol", "max_iter", "h", "L_dom", "tau", "lambda_list-entry", "lambda_list-scalar",
+         "tol-bool", "max_iter-bool", "lambda-bool", "tau-bool", "h-bool",
+         "descriptor-bool", "descriptor-const-bool"],
 )
 def test_non_numeric_field_is_a_validation_error(tmp_path, capsys, field, value):
+    _assert_validation_error(tmp_path, capsys, field, value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tol", -1), ("tol", 0.0), ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5)],
+    ids=["tol-negative", "tol-zero", "max_iter-zero", "max_iter-negative", "max_iter-fractional"],
+)
+def test_out_of_range_solver_budget_is_a_validation_error(tmp_path, capsys, field, value):
+    # a non-positive tol would run the whole budget and a max_iter below 1 or
+    # fractional would report a failed solve; all are bad input, not a solver outcome
+    _assert_validation_error(tmp_path, capsys, field, value)
+
+
+def _assert_validation_error(tmp_path, capsys, field, value):
     base = {"kind": "groundstate", "medium": {"V": 1.0, "Gamma": 1.0}, "L_dom": 10.0, "h": 0.05}
     raw = dict(base, **{field: value})
     with pytest.raises(ValidationError, match=f"^{field}"):
@@ -323,3 +348,68 @@ def test_sweep_row_with_non_numeric_tol_is_an_error_row(tmp_path):
     report = run_experiment(parse_config(cfg))
     assert "results" in report.results[0]
     assert report.results[1]["error"].startswith("tol:")
+
+
+@pytest.mark.parametrize("tol", ["-1", "0"])
+def test_cli_tol_override_is_validated(tmp_path, capsys, tol):
+    cfg = write_cfg(
+        tmp_path, "gs.json",
+        {"kind": "groundstate", "medium": {"V": 1.0, "Gamma": 1.0}, "L_dom": 10.0, "h": 0.05},
+    )
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--tol", tol]) == 2
+    assert "validation error: --tol: must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_tol_override_reaches_sweep_rows(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path, "sweep.json",
+        {
+            "kind": "sweep",
+            "medium": {"V": 1.0, "Gamma": 1.0},
+            "L_dom": 10.0,
+            "h": 0.05,
+            "max_iter": 5,
+            "sweep": {"parameter": "lambda", "values": [0.0]},
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out), "--tol", "1e-30"]) == 0
+    capsys.readouterr()
+    row = json.loads((out / "report.json").read_text())["results"][0]
+    assert "above tolerance 1e-30 after 5 iterations" in row["error"]
+
+
+def test_three_node_grid_runs_without_a_decay_rate(tmp_path, capsys):
+    # h = L_dom leaves one interior node: no tail to fit a decay rate to
+    cfg = write_cfg(
+        tmp_path, "gs.json",
+        {"kind": "groundstate", "medium": {"V": 1.0, "Gamma": 1.0}, "L_dom": 10.0, "h": 10.0},
+    )
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    result = json.loads((out / "report.json").read_text())["results"][0]["result"]
+    assert result["grid"]["nodes"] == 3
+    assert result["decay_rate_fit"] is None
+
+
+def test_groundstate_sweep_in_spectrum_row_keeps_the_gate_message(tmp_path):
+    cfg = write_cfg(
+        tmp_path, "sweep.json",
+        {
+            "kind": "sweep",
+            "medium": {"V": 1.0, "Gamma": 1.0},
+            "h": 0.08,
+            "sweep": {"parameter": "lambda", "values": [0.0, 2.0]},
+        },
+    )
+    report = run_experiment(parse_config(cfg))
+    assert "results" in report.results[0]
+    bottom = bloch.spectrum_min(FunctionDescriptor(const=1.0))
+    assert report.results[1] == {
+        "row": 1,
+        "lambda": 2.0,
+        "error": f"lambda = 2.0 is not below the spectrum bottom {bottom}",
+    }
+    assert report.profiles == [] and report.bands == []

@@ -218,7 +218,7 @@ def test_tail_ratio_matches_d_minus(grid, solved_const):
 
 def test_envelope_check_holds(grid, solved_const):
     bd = oracle.constant_bloch_reference(1.0, 0.1)  # shifted spectral parameter
-    holds, margin = envelope_check(solved_const.state, bd, x0=1.0, epsilon_shift=0.1)
+    holds, margin = envelope_check(solved_const.state, bd, x0=1.0)
     assert holds
     assert margin >= 1.0
 
@@ -228,7 +228,7 @@ def test_envelope_check_detects_violation(grid, solved_const):
     blown = solved_const.state.with_values(
         solved_const.state.values * (1.0 + 10.0 * np.abs(grid.x))
     )
-    holds, _ = envelope_check(blown, bd, x0=1.0, epsilon_shift=0.1)
+    holds, _ = envelope_check(blown, bd, x0=1.0)
     assert not holds
 
 
