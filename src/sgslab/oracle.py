@@ -4,13 +4,15 @@ The closed forms deliberately avoid the main code paths (different
 quadrature resolution, direct formulas) so tests can cross-validate the
 library against something it does not share internals with.
 
-`ansatz_upper_bound` is the exception, on purpose: it projects and evaluates
-its trial profiles with the solver's own discrete functional (`nehari_project`,
-`J_eval`), because it bounds the same discrete minimum the solver computes.
+`ansatz_upper_bound` is the exception, on purpose: it bounds the same
+discrete minimum the solver computes, so it builds one `_Discretization` per
+scan and scores its trial profiles through the `scale` and `energy` methods
+that `nehari_project` and `J_eval` use.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +21,7 @@ import numpy as np
 from .bloch import BlochData
 from .errors import LambdaInSpectrum, NonprojectableState
 from .media import ProblemParams
-from .variational import Grid, GridFunction, J_eval, nehari_project
+from .variational import Grid, GridFunction, _Discretization
 
 
 def closed_form_soliton(m: float, Gamma0: float, p: float, grid: Grid):
@@ -84,12 +86,13 @@ class AnsatzFamily:
     def __post_init__(self):
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
+        if not np.all(np.isfinite([self.amplitude_range, self.width_range, self.center_range])):
+            raise ValueError("ranges must be finite")
 
     def axes(self):
-        return (
-            np.linspace(*self.amplitude_range, self.resolution),
-            np.linspace(*self.width_range, self.resolution),
-            np.linspace(*self.center_range, self.resolution),
+        return tuple(
+            np.linspace(lo, hi, 1 if lo == hi else self.resolution)
+            for lo, hi in (self.amplitude_range, self.width_range, self.center_range)
         )
 
 
@@ -97,24 +100,24 @@ def ansatz_upper_bound(m, params: ProblemParams, fam: AnsatzFamily, grid: Grid) 
     """Brute-force upper bound on the constrained minimum: project every trial
     profile onto the constraint set and take the least energy.
 
-    Trials whose nonlinear mass is nonpositive are skipped.  The scan order is
-    fixed, so the reduction is deterministic.
+    Costs one discretization per scan, then one `scale` and one `energy` per
+    distinct trial: the values `nehari_project` and `J_eval` give.  A range
+    with lo == hi is one value, not `resolution` copies of it.  Trials whose
+    nonlinear mass or quadratic form is nonpositive are skipped;
+    NonprojectableState is raised if all are.  The scan order is fixed, so
+    the reduction is deterministic.
     """
-    amps, widths, centers = fam.axes()
+    op = _Discretization.of(m, params, grid)
     expo = 2.0 / (params.p - 1.0)
     best = math.inf
     x = grid.x
-    for a in amps:
-        for wdt in widths:
-            for ctr in centers:
-                vals = a * np.cosh(wdt * (x - ctr)) ** (-expo)
-                vals[0] = vals[-1] = 0.0
-                trial = GridFunction(grid=grid, values=vals)
-                try:
-                    proj, _ = nehari_project(trial, m, params)
-                except NonprojectableState:
-                    continue
-                e = J_eval(proj, m, params)
-                if e < best:
-                    best = e
+    for a, wdt, ctr in itertools.product(*fam.axes()):
+        u = a * np.cosh(wdt * (x - ctr)) ** (-expo)
+        try:
+            s = op.scale(u[1:-1])[0]
+        except NonprojectableState:
+            continue
+        best = min(best, op.energy((s * u)[1:-1]))
+    if best == math.inf:
+        raise NonprojectableState(f"no trial profile of {fam} can be scaled onto the constraint set")
     return best

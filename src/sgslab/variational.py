@@ -17,8 +17,8 @@ central-difference square would not.
 
 On the interior nodes that quadratic form is v^T L v with L tridiagonal, and
 so is the Jacobian of the Euler-Lagrange residual.  One banded operator,
-_Discretization, holds both; J_eval, G_eval, nehari_project, grad_J and the
-solver all evaluate the functional through it.
+_Discretization, holds both; J_eval, G_eval, nehari_project, grad_J, the
+solver and oracle.ansatz_upper_bound all evaluate the functional through it.
 """
 
 from __future__ import annotations
@@ -170,6 +170,11 @@ class _Discretization:
         """(quadratic form, nonlinear mass) of v."""
         return float(v @ self.apply_L(v)), float(v @ self.force(v))
 
+    def energy(self, v: np.ndarray) -> float:
+        """J(v) = quad / 2 - nl / (p + 1)."""
+        quad, nl = self.parts(v)
+        return 0.5 * quad - nl / (self.p + 1.0)
+
     def scale(self, v: np.ndarray) -> tuple[float, float, float]:
         """(s, quad, nl): the scale with s^{p-1} = quad / nl that puts s v on
         the constraint set, and the two parts of v."""
@@ -193,8 +198,7 @@ class _Discretization:
 
 def J_eval(u: GridFunction, m, params: ProblemParams) -> float:
     """Discrete energy functional."""
-    quad, nl = _Discretization.of(m, params, u.grid).parts(u.values[1:-1])
-    return 0.5 * quad - nl / (params.p + 1.0)
+    return _Discretization.of(m, params, u.grid).energy(u.values[1:-1])
 
 
 def G_eval(u: GridFunction, m, params: ProblemParams) -> float:

@@ -6,12 +6,24 @@ import numpy as np
 import pytest
 
 from sgslab import bloch, oracle
-from sgslab.errors import LambdaInSpectrum
+from sgslab.errors import LambdaInSpectrum, NonprojectableState
 from sgslab.media import FunctionDescriptor, PeriodicMedium, ProblemParams, compose_interface
-from sgslab.variational import Grid, grad_J
+from sgslab.variational import Grid, GridFunction, J_eval, grad_J, nehari_project
 
 P3 = ProblemParams(p=3.0, lam=0.0)
 CONST_MEDIUM = PeriodicMedium(FunctionDescriptor(const=1.0), FunctionDescriptor(const=1.0))
+# Gamma = -1 on [k, k + 0.9) of every cell of side 2 (x < 0)
+NEG_GAMMA_INTERFACE = compose_interface(
+    CONST_MEDIUM,
+    PeriodicMedium(
+        FunctionDescriptor(const=1.0),
+        FunctionDescriptor(segments=((0.0, 0.9, -1.0), (0.9, 1.0, 0.5))),
+    ),
+)
+DRIFT_INTERFACE = compose_interface(
+    PeriodicMedium(FunctionDescriptor(const=1.0), FunctionDescriptor(const=2.0)),
+    PeriodicMedium(FunctionDescriptor(const=2.0), FunctionDescriptor(const=1.0)),
+)
 
 
 def test_soliton_unit_case():
@@ -97,3 +109,64 @@ def test_ansatz_bound_skips_nonprojectable():
     fam = oracle.AnsatzFamily((1.0, 1.4), (0.8, 1.2), (-6.0, 6.0), 5)
     bound = oracle.ansatz_upper_bound(m, P3, fam, grid)
     assert math.isfinite(bound)
+
+
+def _projected_scan(m, fam, grid):
+    """The bound from its definition: every trial of the full
+    resolution^3 grid (repeats included) as a GridFunction, projected with
+    nehari_project and scored with J_eval.  Returns (bound, skipped trials)."""
+    expo = 2.0 / (P3.p - 1.0)
+    axes = [np.linspace(lo, hi, fam.resolution)
+            for lo, hi in (fam.amplitude_range, fam.width_range, fam.center_range)]
+    best, skipped = math.inf, 0
+    for a in axes[0]:
+        for wdt in axes[1]:
+            for ctr in axes[2]:
+                trial = GridFunction.from_callable(grid, lambda x: a * np.cosh(wdt * (x - ctr)) ** (-expo))
+                try:
+                    proj, _ = nehari_project(trial, m, P3)
+                except NonprojectableState:
+                    skipped += 1
+                    continue
+                best = min(best, J_eval(proj, m, P3))
+    return best, skipped
+
+
+@pytest.mark.parametrize("m, fam", [
+    # degenerate width axis; trials centred at -6 and -3 are not projectable
+    (NEG_GAMMA_INTERFACE, oracle.AnsatzFamily((1.0, 1.4), (0.8, 0.8), (-6.0, 6.0), 5)),
+    # degenerate centre axis, as in the drift check of acceptance 09
+    (DRIFT_INTERFACE, oracle.AnsatzFamily((0.8, 1.2), (0.8, 1.2), (2.0, 2.0), 4)),
+])
+def test_ansatz_bound_equals_projected_scan_exactly(m, fam):
+    grid = Grid.from_extent(15.0, 0.02)
+    ref, skipped = _projected_scan(m, fam, grid)
+    assert (skipped > 0) == (m is NEG_GAMMA_INTERFACE)
+    assert oracle.ansatz_upper_bound(m, P3, fam, grid) == ref
+
+
+def test_ansatz_axes_degenerate_range_is_one_value():
+    fam = oracle.AnsatzFamily((0.8, 1.2), (1.0, 1.0), (2.0, 2.0), 7)
+    amps, widths, centers = fam.axes()
+    assert len(amps) == 7
+    assert list(widths) == [1.0] and list(centers) == [2.0]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"resolution": 1},
+    {"resolution": 0},
+    {"center_range": (0.0, math.inf)},
+    {"amplitude_range": (math.nan, 1.0)},
+])
+def test_ansatz_family_rejects_bad_input(kwargs):
+    args = {"amplitude_range": (1.0, 1.2), "width_range": (1.0, 1.0), "center_range": (0.0, 0.0)}
+    with pytest.raises(ValueError):
+        oracle.AnsatzFamily(**{**args, **kwargs})
+
+
+def test_ansatz_bound_raises_when_no_trial_projects():
+    # narrow trials centred only inside Gamma = -1 cells of side 2
+    grid = Grid.from_extent(15.0, 0.02)
+    fam = oracle.AnsatzFamily((1.0, 1.4), (15.0, 20.0), (-5.6, -5.5), 3)
+    with pytest.raises(NonprojectableState, match="AnsatzFamily"):
+        oracle.ansatz_upper_bound(NEG_GAMMA_INTERFACE, P3, fam, grid)
