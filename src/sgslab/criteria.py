@@ -15,6 +15,13 @@ too low, a sup bound too high, a lower bound on the sup too low), so an
 ordering or a strict sign they cannot prove comes back Inconclusive.  Every
 mode-weighted mismatch integral is one trapezoid integral over the period
 next to the interface (`_mode_integral`).
+
+Every interface criterion is written for one orientation: side 1 on x > 0,
+side 2 on x < 0, and the Bloch mode of side 1 that decays at -inf.  The
+reflection x -> -x maps the interface to one with the sides swapped and each
+coefficient reflected, so the other orientation is the same criterion called
+on the mirrored pair (V2.reflected(), V1.reflected()); `reflected` is exact
+descriptor algebra.
 """
 
 from __future__ import annotations
@@ -124,50 +131,40 @@ def shifted_state_criterion(
     m: InterfaceMedium,
     params: ProblemParams,
     t_list,
-    branch: str = "a",
 ) -> CriterionReport:
-    """Translate one half-line ground state toward its own side and compare
-    the potential-mismatch and nonlinearity-mismatch integrals over the other
-    half-line.
+    """Translate the side-1 half-line ground state w to the right and compare
+    the potential-mismatch and nonlinearity-mismatch integrals over x < 0.
+    A row at shift t holds when
 
-    Branch "a" shifts the side-1 state to the right and integrates over x < 0;
-    branch "b" mirrors everything over x > 0.  A row at shift t holds when
-
-        (p+1) * int (V_other - V_own) w_t^2  <  2 * int (G_other - G_own) |w_t|^{p+1}.
+        (p+1) * int (V2 - V1) w_t^2  <  2 * int (G2 - G1) |w_t|^{p+1}.
 
     Certification requires every row in the last half of t_list to hold and
     the integrals to decay at their predicted geometric rates (within 20% of
     e^{-2 kappa} resp. e^{-(p+1) kappa}), evidence that the finite shifts are
-    already in the asymptotic regime.  kappa is the decay exponent of the
-    state's own side; LambdaInSpectrum is raised when lambda is not below
-    that side's spectrum.
+    already in the asymptotic regime.  kappa is the decay exponent of side 1;
+    LambdaInSpectrum is raised when lambda is not below its spectrum.  For a
+    side-2 state, pass the mirrored interface (side 2 reflected as side 1,
+    side 1 reflected as side 2) and the mirrored state w(-x).
     """
-    if branch not in ("a", "b"):
-        raise ValueError("branch must be 'a' or 'b'")
     t_list = sorted(int(t) for t in t_list)
     if not t_list:
         raise ValueError("t_list must be nonempty")
     grid = w.state.grid
     weights = _trap_weights(grid)
     x = grid.x
-    mirror = branch == "b"
-    if mirror:
-        own, other = m.side2, m.side1
-        region = x > 0.0
-    else:
-        own, other = m.side1, m.side2
-        region = x < 0.0
-    dV = np.where(region, np.asarray(other.V(x), float) - np.asarray(own.V(x), float), 0.0)
-    dG = np.where(region, np.asarray(other.Gamma(x), float) - np.asarray(own.Gamma(x), float), 0.0)
+    s1, s2 = m.sides
+    left = x < 0.0
+    dV = np.where(left, np.asarray(s2.V(x), float) - np.asarray(s1.V(x), float), 0.0)
+    dG = np.where(left, np.asarray(s2.Gamma(x), float) - np.asarray(s1.Gamma(x), float), 0.0)
 
     rows = []
     for t in t_list:
-        wt = _interp_shifted(w, t if not mirror else -t)
+        wt = _interp_shifted(w, t)
         lhs = (params.p + 1.0) * float(np.sum(weights * dV * wt * wt))
         rhs = 2.0 * float(np.sum(weights * dG * np.abs(wt) ** (params.p + 1.0)))
         rows.append({"t": t, "lhs": lhs, "rhs": rhs, "holds": lhs < rhs - CERT_TOL})
 
-    kappa = bloch.bloch_modes(own.V, params.lam).kappa
+    kappa = bloch.bloch_modes(s1.V, params.lam).kappa
 
     def ratio_ok(key, rate):
         vals = [abs(r[key]) for r in rows]
@@ -186,7 +183,7 @@ def shifted_state_criterion(
 
     half = rows[len(rows) // 2 :] if len(rows) > 1 else rows
     all_hold = all(r["holds"] for r in half)
-    inter = {"rows": rows, "kappa": kappa, "branch": branch, "geometric_decay_ok": decay_ok}
+    inter = {"rows": rows, "kappa": kappa, "geometric_decay_ok": decay_ok}
     checks = [("trailing rows hold", all_hold), ("geometric decay of integrals", decay_ok)]
     notes = [
         "finite shift list is a surrogate for 'all sufficiently large integer shifts'; "
@@ -211,8 +208,8 @@ def asymptotic_expansion(
     coefficient mismatches against the decaying-mode envelope."""
     kappa = bd.kappa
     s1, s2 = m.side1, m.side2
-    iv = _mode_integral(bd, lambda x: s2.V(x) - s1.V(x), 2.0, "forward")
-    ig = _mode_integral(bd, lambda x: s2.Gamma(x) - s1.Gamma(x), params.p + 1.0, "forward")
+    iv = _mode_integral(bd, lambda x: s2.V(x) - s1.V(x), 2.0)
+    ig = _mode_integral(bd, lambda x: s2.Gamma(x) - s1.Gamma(x), params.p + 1.0)
     # prefactors match the shifted-state row integrals, so (lhs, rhs) are the
     # leading-order approximations of the finite-shift rows
     lhs = (
@@ -232,68 +229,47 @@ def asymptotic_expansion(
     return lhs, rhs
 
 
-def _mode_integral(bd: bloch.BlochData, f, power: float, orientation: str) -> float:
-    """Trapezoid integral of f (p e^{-+kappa x})^power over the period next to
-    the interface: [-1, 0] with the mode decaying at -inf (forward), [0, 1]
-    with the mode decaying at +inf (reverse)."""
-    if orientation == "forward":
-        x = np.linspace(-1.0, 0.0, bd.samples)
-        p, sign = bd.p_minus_at(x), 1.0
-    else:
-        x = np.linspace(0.0, 1.0, bd.samples)
-        p, sign = bd.p_plus_at(x), -1.0
-    env = p**power * np.exp(sign * power * bd.kappa * x)
+def _mode_integral(bd: bloch.BlochData, f, power: float) -> float:
+    """Trapezoid integral of f (p_- e^{kappa x})^power over [-1, 0], the
+    period left of the interface, with the mode decaying at -inf."""
+    x = np.linspace(-1.0, 0.0, bd.samples)
+    env = bd.p_minus_at(x) ** power * np.exp(power * bd.kappa * x)
     return float(np.trapezoid(f(x) * env, x))
 
 
 def bloch_integral_criterion(
-    V1: FunctionDescriptor,
-    V2: FunctionDescriptor,
-    lam: float,
-    orientation: str = "forward",
+    V1: FunctionDescriptor, V2: FunctionDescriptor, lam: float
 ) -> CriterionReport:
-    """One-period weighted integral of the potential mismatch against the
-    squared decaying-mode envelope; existence is certified when it is
-    strictly negative.
-
-    Forward uses the mode decaying at -inf of the side-1 operator and
-    integrates V2 - V1 over [-1, 0]; reverse uses the mode decaying at +inf
-    of the side-2 operator and integrates V1 - V2 over [0, 1].
+    """One-period integral of the potential mismatch V2 - V1 over [-1, 0]
+    against the squared mode of the side-1 operator that decays at -inf;
+    existence is certified when it is strictly negative and lambda lies below
+    the spectra of both sides.  The other orientation (the side-2 mode
+    decaying at +inf, V1 - V2 over [0, 1]) is this criterion on the mirrored
+    pair (V2.reflected(), V1.reflected()).
     """
-    if orientation not in ("forward", "reverse"):
-        raise ValueError("orientation must be 'forward' or 'reverse'")
-    own, other = (V1, V2) if orientation == "forward" else (V2, V1)
-    bd = bloch.bloch_modes(own, lam, samples=BLOCH_SAMPLES)
-    integral = _mode_integral(bd, lambda x: other(x) - own(x), 2.0, orientation)
-    inter = {"integral": integral, "kappa": bd.kappa, "orientation": orientation, "lambda": lam}
-    checks = [("lambda below the relevant spectrum bottom", True)]
+    bd = bloch.bloch_modes(V1, lam, samples=BLOCH_SAMPLES)
+    integral = _mode_integral(bd, lambda x: V2(x) - V1(x), 2.0)
+    inter = {"integral": integral, "kappa": bd.kappa, "lambda": lam}
+    # the spectrum starts at or above inf V, so lambda < inf V needs no Floquet scan
+    below = all(lam < V.inf_bound() or lam < bloch.spectrum_min(V) for V in (V1, V2))
+    checks = [("lambda below the relevant spectrum bottom", below)]
     notes = ["caller must separately establish the energy ordering of the half-line problems"]
-    if integral < -CERT_TOL:
-        return CriterionReport(
-            "bloch_integral_criterion", Verdict.ExistenceCertified, inter, checks, notes
-        )
-    return CriterionReport(
-        "bloch_integral_criterion", Verdict.Inconclusive, inter, checks, notes
-    )
+    certified = below and integral < -CERT_TOL
+    verdict = Verdict.ExistenceCertified if certified else Verdict.Inconclusive
+    return CriterionReport("bloch_integral_criterion", verdict, inter, checks, notes)
 
 
-def boundary_condition(
-    V1: FunctionDescriptor, V2: FunctionDescriptor, orientation: str = "forward"
-) -> CriterionReport:
+def boundary_condition(V1: FunctionDescriptor, V2: FunctionDescriptor) -> CriterionReport:
     """Interface-point test valid in the strongly negative spectral-parameter
-    limit: compare potential values at 0, breaking ties with derivatives.
-
-    Forward certifies when V2(0) < V1(0), or the values agree and
-    V2'(0) > V1'(0); reverse swaps the value inequality and keeps the
-    derivative inequality.
+    limit: certifies when V2(0) < V1(0), or the values agree and
+    V2'(0) > V1'(0).  The other orientation (V1(0) < V2(0), with the same
+    derivative tie-break) is this test on the mirrored pair
+    (V2.reflected(), V1.reflected()).
     """
-    if orientation not in ("forward", "reverse"):
-        raise ValueError("orientation must be 'forward' or 'reverse'")
     v1, v2 = float(V1(0.0)), float(V2(0.0))
-    inter = {"V1_at_0": v1, "V2_at_0": v2, "orientation": orientation}
+    inter = {"V1_at_0": v1, "V2_at_0": v2}
     notes = ["asymptotic: requires the spectral parameter to be sufficiently negative"]
-    lo, hi = (v2, v1) if orientation == "forward" else (v1, v2)
-    if lo < hi - CERT_TOL:
+    if v2 < v1 - CERT_TOL:
         inter["branch"] = "value"
         return CriterionReport(
             "boundary_condition", Verdict.ExistenceCertified, inter, [], notes
@@ -394,14 +370,16 @@ def dislocation_report(
     """Existence tests for the interface made of one medium shifted by +tau on
     the right half-line and -tau on the left.
 
-    The quantitative branch evaluates the mode-weighted mismatch integral in
-    both orientations and certifies at the given lambda when either is
-    negative.  The qualitative branches (value/derivative comparison at the
-    interface, and the small-shift curvature test) certify only
+    The quantitative branch is `bloch_integral_criterion` on the interface
+    (V0(x + tau), V0(x - tau)) and on its mirror image; it certifies at the
+    given lambda when either integral is negative (dis_cond1 and
+    dis_cond1_prime).  The qualitative branches (`boundary_condition` on the
+    same two pairs, and the small-shift curvature test) certify only
     asymptotically, for lambda sufficiently negative.
     """
     V_right = V0.shifted(tau)   # side 1
     V_left = V0.shifted(-tau)   # side 2
+    pairs = ((V_right, V_left), (V_left.reflected(), V_right.reflected()))
     inter: dict = {"tau": tau, "lambda": lam}
     notes: list = []
     checks: list = []
@@ -414,27 +392,22 @@ def dislocation_report(
             ["zero dislocation: both sides identical"],
         )
 
-    fwd = bloch_integral_criterion(V_right, V_left, lam, "forward").intermediates
-    rev = bloch_integral_criterion(V_right, V_left, lam, "reverse").intermediates
-    cond1, cond1p = fwd["integral"], rev["integral"]
-    inter["dis_cond1"] = cond1
-    inter["dis_cond1_prime"] = cond1p
-    inter["kappa_side1"] = fwd["kappa"]
-    inter["kappa_side2"] = rev["kappa"]
+    integrals = [bloch_integral_criterion(V1, V2, lam) for V1, V2 in pairs]
+    inter["dis_cond1"], inter["dis_cond1_prime"] = (r.intermediates["integral"] for r in integrals)
+    inter["kappa_side1"], inter["kappa_side2"] = (r.intermediates["kappa"] for r in integrals)
 
-    # interface-point comparison of the two shifted copies
-    v_minus, v_plus = float(V0(-tau)), float(V0(tau))
-    inter["V0_at_minus_tau"] = v_minus
-    inter["V0_at_tau"] = v_plus
-    boundary_fires = abs(v_minus - v_plus) > CERT_TOL
-    if not boundary_fires:
-        try:
-            dm, dp = float(V0.derivative(-tau)), float(V0.derivative(tau))
-            inter["dV0_at_minus_tau"] = dm
-            inter["dV0_at_tau"] = dp
-            boundary_fires = dm > dp + CERT_TOL
-        except NotDifferentiable:
-            notes.append("derivative tie-break unavailable at a breakpoint")
+    # interface-point comparison of the two shifted copies, in both orientations
+    inter["V0_at_minus_tau"] = float(V_left(0.0))
+    inter["V0_at_tau"] = float(V_right(0.0))
+    boundary_fires = False
+    try:
+        tests = [boundary_condition(V1, V2) for V1, V2 in pairs]
+        boundary_fires = any(r.verdict is Verdict.ExistenceCertified for r in tests)
+        if "dV1_at_0" in tests[0].intermediates:
+            inter["dV0_at_minus_tau"] = tests[0].intermediates["dV2_at_0"]
+            inter["dV0_at_tau"] = tests[0].intermediates["dV1_at_0"]
+    except NotDifferentiable:
+        notes.append("derivative tie-break unavailable at a breakpoint")
     inter["boundary_branch_fires"] = boundary_fires
 
     # small-shift test from the local shape of the potential at the interface
@@ -452,7 +425,7 @@ def dislocation_report(
         notes.append("small-shift test unavailable at a breakpoint")
     inter["small_shift_branch_fires"] = small_shift_fires
 
-    if cond1 < -CERT_TOL or cond1p < -CERT_TOL:
+    if any(r.verdict is Verdict.ExistenceCertified for r in integrals):
         checks.append(("mode-weighted mismatch integral negative", True))
         return CriterionReport(
             "dislocation_report", Verdict.ExistenceCertified, inter, checks, notes

@@ -204,7 +204,12 @@ def _tol(value, where: str) -> float:
 
 def _auto_extent(pots: list, lam: float) -> float:
     """Domain half-width 12 / kappa_min so the truncated tail is ~e^-12."""
-    kmin = min(bloch.bloch_modes(V, lam).kappa for V in pots)
+    try:
+        kmin = min(bloch.bloch_modes(V, lam).kappa for V in pots)
+    except SgsLabError as exc:
+        raise ValidationError(
+            f"L_dom: the decay exponent at lambda = {lam} cannot be computed ({exc}); give L_dom"
+        ) from exc
     return max(10.0, min(12.0 / kmin, 200.0))
 
 
@@ -283,10 +288,13 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         report.profiles.append((spec.grid, res.state.values, m))
 
     elif spec.kind == "dislocation":
-        rep = criteria.dislocation_report(
-            spec.media["V0"], spec.media["Gamma0"], spec.tau, spec.params.lam
-        )
-        entry = {"kind": "dislocation", "criterion": rep.to_json()}
+        try:
+            criterion = criteria.dislocation_report(
+                spec.media["V0"], spec.media["Gamma0"], spec.tau, spec.params.lam
+            ).to_json()
+        except SgsLabError as exc:
+            criterion = {"error": str(exc)}
+        entry = {"kind": "dislocation", "criterion": criterion}
         if spec.tau != 0.0:
             res = solve_ground_state(m, spec.params, spec.grid, opts)
             entry["result"] = _summarize_state(res, spec.grid)

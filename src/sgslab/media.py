@@ -408,15 +408,11 @@ def compose_interface(m1: PeriodicMedium, m2: PeriodicMedium) -> InterfaceMedium
     return InterfaceMedium(side1=m1, side2=m2)
 
 
-def dislocate(
-    V0: FunctionDescriptor, Gamma0: FunctionDescriptor, tau: float, sigma: float | None = None
-) -> InterfaceMedium:
-    """Dislocation interface: V0 shifted by +tau on x > 0 and by -tau on x < 0
-    (and Gamma0 by +/-sigma; sigma defaults to tau)."""
-    if sigma is None:
-        sigma = tau
-    side1 = PeriodicMedium(V=V0.shifted(tau), Gamma=Gamma0.shifted(sigma))
-    side2 = PeriodicMedium(V=V0.shifted(-tau), Gamma=Gamma0.shifted(-sigma))
+def dislocate(V0: FunctionDescriptor, Gamma0: FunctionDescriptor, tau: float) -> InterfaceMedium:
+    """Dislocation interface: V0 and Gamma0 shifted by +tau on x > 0 and by
+    -tau on x < 0."""
+    side1 = PeriodicMedium(V=V0.shifted(tau), Gamma=Gamma0.shifted(tau))
+    side2 = PeriodicMedium(V=V0.shifted(-tau), Gamma=Gamma0.shifted(-tau))
     return InterfaceMedium(side1=side1, side2=side2)
 
 

@@ -413,3 +413,38 @@ def test_groundstate_sweep_in_spectrum_row_keeps_the_gate_message(tmp_path):
         "error": f"lambda = 2.0 is not below the spectrum bottom {bottom}",
     }
     assert report.profiles == [] and report.bands == []
+
+
+@pytest.mark.parametrize("lam", [-2e5, -1e6])
+def test_deep_lambda_without_extent_exits_2(tmp_path, capsys, lam):
+    # kappa ~ 450 overflows the determinant check of the one-period
+    # monodromy, kappa ~ 1000 the monodromy itself: no automatic extent
+    cfg = write_cfg(
+        tmp_path, "deep.json",
+        {"kind": "groundstate", "lambda": lam, "medium": {"V": 1, "Gamma": 1}},
+    )
+    assert main(["validate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: L_dom:" in err and "give L_dom" in err
+
+
+def test_deep_lambda_dislocation_records_the_criterion_error(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path, "deep.json",
+        {
+            "kind": "dislocation",
+            "lambda": -1e6,
+            "V0": {"const": 1.0, "cos": [[1, 0.5]]},
+            "tau": 0.25,
+            "L_dom": 10.0,
+            "h": 0.04,
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    entry = json.loads((out / "report.json").read_text())["results"][0]
+    assert entry["criterion"] == {
+        "error": "monodromy propagation diverged at lambda = -1000000.0"
+    }
+    assert "result" in entry

@@ -1,11 +1,12 @@
 """Existence / non-existence criteria and their certification logic."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sgslab import criteria, oracle
+from sgslab import bloch, criteria, oracle
 from sgslab.criteria import CriterionReport, Verdict
 from sgslab.errors import InvalidEnergy, LambdaInSpectrum, NotDifferentiable, ShiftOutOfDomain
 from sgslab.media import (
@@ -150,11 +151,23 @@ def test_shifted_state_certifies_stronger_nonlinearity(solved_high):
     assert ratio == pytest.approx(math.exp(-4.0), rel=0.2)
 
 
+def mirror(m):
+    """The interface seen under x -> -x: sides swapped, coefficients reflected."""
+    return compose_interface(
+        *(PeriodicMedium(s.V.reflected(), s.Gamma.reflected()) for s in (m.side2, m.side1))
+    )
+
+
 def test_shifted_state_other_branch(solved_high):
-    # state lives on side 2; mismatch is integrated over x > 0
+    # the state lives on side 2, so its mismatch lies over x > 0: mirror the
+    # interface and the state, and the criterion integrates over x < 0
     m = compose_interface(SIDE_LOW, SIDE_HIGH)
-    rep = criteria.shifted_state_criterion(solved_high, m, P3, [1, 2, 3, 4], branch="b")
+    w = dataclasses.replace(
+        solved_high, state=solved_high.state.with_values(solved_high.state.values[::-1])
+    )
+    rep = criteria.shifted_state_criterion(w, mirror(m), P3, [1, 2, 3, 4])
     assert rep.verdict is Verdict.ExistenceCertified
+    assert "branch" not in rep.intermediates
 
 
 def test_shifted_state_shift_out_of_domain(solved_high):
@@ -171,12 +184,6 @@ def test_shifted_state_lambda_in_spectrum_raises():
     m = compose_interface(SIDE_HIGH, SIDE_LOW)
     with pytest.raises(LambdaInSpectrum):
         criteria.shifted_state_criterion(w, m, ProblemParams(p=3.0, lam=2.0), [1, 2, 3, 4])
-
-
-def test_shifted_state_rejects_bad_branch(solved_high):
-    m = compose_interface(SIDE_HIGH, SIDE_LOW)
-    with pytest.raises(ValueError):
-        criteria.shifted_state_criterion(solved_high, m, P3, [1], branch="c")
 
 
 # --- large-shift closed form ------------------------------------------------
@@ -228,20 +235,31 @@ def test_bloch_integral_positive_is_inconclusive():
 
 
 def test_bloch_integral_orientation_symmetry():
-    # reflecting the line swaps the sides; the two orientations must agree
-    V1, V2 = MATHIEU, FunctionDescriptor(const=0.7, sin=((1, 0.2),))
-    fwd = criteria.bloch_integral_criterion(V1, V2, -3.0)
-    rev = criteria.bloch_integral_criterion(
-        V2.reflected(), V1.reflected(), -3.0, orientation="reverse"
-    )
-    assert rev.intermediates["integral"] == pytest.approx(
-        fwd.intermediates["integral"], abs=1e-8
-    )
+    # the other orientation, int_0^1 (V1 - V2) (p_+ e^{-kappa x})^2 with the
+    # side-2 mode decaying at +inf, is the criterion on the mirrored pair
+    lam = -3.0
+    pairs = [
+        (MATHIEU, FunctionDescriptor(const=0.7, sin=((1, 0.2),))),
+        (FunctionDescriptor.piecewise(((0.0, 0.3, 1.0), (0.3, 1.0, 2.0))),
+         FunctionDescriptor.piecewise(((0.0, 0.6, 0.5), (0.6, 1.0, 1.5)))),
+    ]
+    for V1, V2 in pairs:
+        bd = bloch.bloch_modes(V2, lam, samples=criteria.BLOCH_SAMPLES)
+        x = np.linspace(0.0, 1.0, bd.samples)
+        mode = bd.p_plus_at(x) * np.exp(-bd.kappa * x)
+        reverse = np.trapezoid((V1(x) - V2(x)) * mode**2, x)
+        rep = criteria.bloch_integral_criterion(V2.reflected(), V1.reflected(), lam)
+        assert rep.intermediates["integral"] == pytest.approx(reverse, rel=1e-12)
+        assert rep.intermediates["kappa"] == pytest.approx(bd.kappa, rel=1e-12)
+        assert "orientation" not in rep.intermediates
 
 
-def test_bloch_integral_rejects_bad_orientation():
-    with pytest.raises(ValueError):
-        criteria.bloch_integral_criterion(CONST_V1, CONST_V05, -1.0, orientation="up")
+def test_bloch_integral_lambda_in_other_spectrum_is_inconclusive():
+    # lambda = 0.7 lies below the spectrum of V1 = 1 but inside that of V2 = 0.5
+    rep = criteria.bloch_integral_criterion(CONST_V1, CONST_V05, 0.7)
+    assert rep.intermediates["integral"] < 0
+    assert rep.verdict is Verdict.Inconclusive
+    assert rep.assumptions_checked == [("lambda below the relevant spectrum bottom", False)]
 
 
 # --- interface-point comparison ---------------------------------------------
@@ -268,8 +286,18 @@ def test_boundary_condition_inconclusive():
 
 
 def test_boundary_condition_reverse_orientation():
-    rep = criteria.boundary_condition(CONST_V05, CONST_V1, orientation="reverse")
+    # V1(0) < V2(0) certifies in the other orientation: the mirrored pair
+    V1, V2 = CONST_V05, CONST_V1
+    assert criteria.boundary_condition(V1, V2).verdict is Verdict.Inconclusive
+    rep = criteria.boundary_condition(V2.reflected(), V1.reflected())
     assert rep.verdict is Verdict.ExistenceCertified
+    assert rep.intermediates["branch"] == "value"
+    # the derivative tie-break keeps its direction under the mirror
+    V1 = FunctionDescriptor(const=1.0, sin=((1, -0.3),))
+    V2 = FunctionDescriptor(const=1.0, sin=((1, 0.3),))
+    rep = criteria.boundary_condition(V2.reflected(), V1.reflected())
+    assert rep.verdict is Verdict.ExistenceCertified
+    assert rep.intermediates["branch"] == "derivative"
 
 
 def test_boundary_condition_breakpoint_propagates():

@@ -184,14 +184,14 @@ def test_compose_interface_degenerate():
 def test_dislocate_consistency():
     V0 = FunctionDescriptor(const=1.0, cos=((1, 0.5),))
     G0 = FunctionDescriptor(const=1.0, sin=((1, 0.3),))
-    m = dislocate(V0, G0, tau=0.25, sigma=0.1)
+    m = dislocate(V0, G0, tau=0.25)
     xs = np.linspace(0.01, 3, 50)
     V, G = eval_medium(m, xs)
     np.testing.assert_allclose(V, V0(xs + 0.25), atol=1e-14)
-    np.testing.assert_allclose(G, G0(xs + 0.1), atol=1e-14)
+    np.testing.assert_allclose(G, G0(xs + 0.25), atol=1e-14)
     Vn, Gn = eval_medium(m, -xs)
     np.testing.assert_allclose(Vn, V0(-xs - 0.25), atol=1e-14)
-    np.testing.assert_allclose(Gn, G0(-xs - 0.1), atol=1e-14)
+    np.testing.assert_allclose(Gn, G0(-xs - 0.25), atol=1e-14)
 
 
 def test_dislocate_zero_shift():

@@ -1,6 +1,7 @@
 """Property tests of the descriptor algebra and of the non-existence
 certificate, on random trigonometric (up to 3 harmonics) and piecewise
-(up to 4 segments) descriptors."""
+(up to 4 segments) descriptors, and of the mirror symmetry of the
+dislocation criteria."""
 
 import numpy as np
 import pytest
@@ -140,3 +141,31 @@ def test_nonexistence_certificate_is_sound(V1, V2, G1, G2, v_gap, g_gap):
     x = np.concatenate([DENSE, breaks(V1, V2, G1, G2)])
     assert float(np.min(V2(x) - V1(x))) >= -CERT_TOL
     assert float(np.min(G1(x) - G2(x))) >= -CERT_TOL
+
+
+# each dislocation report costs a few spectrum bottoms, so few examples
+single_harmonic = st.builds(
+    lambda const, a, b: FunctionDescriptor(const=const, cos=((1, a),), sin=((1, b),)),
+    st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+)
+two_segment = st.builds(
+    lambda b, v1, v2: FunctionDescriptor.piecewise(((0.0, b, v1), (b, 1.0, v2))),
+    st.integers(1, 9).map(lambda k: k / 10.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+)
+
+
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(st.one_of(single_harmonic, two_segment), st.floats(0.05, 0.45), st.floats(0.5, 5.0))
+@example(FunctionDescriptor(const=1.0, cos=((1, 0.5),)), 0.25, 21.0)
+@example(FunctionDescriptor.piecewise(((0.0, 0.3, 1.0), (0.3, 1.0, 2.0))), 0.2, 3.0)
+def test_dislocation_report_mirror_swaps_orientations(V0, tau, depth):
+    # x -> -x maps dislocate(V0, tau) onto dislocate(V0.reflected(), tau), so
+    # the two mode-weighted integrals trade places and the verdict stays
+    lam = V0.inf_bound() - depth   # below inf V0, hence below the spectrum
+    G0 = FunctionDescriptor(const=1.0)
+    rep = criteria.dislocation_report(V0, G0, tau, lam)
+    mir = criteria.dislocation_report(V0.reflected(), G0, tau, lam)
+    a, b = rep.intermediates, mir.intermediates
+    assert b["dis_cond1"] == pytest.approx(a["dis_cond1_prime"], rel=1e-12)
+    assert b["dis_cond1_prime"] == pytest.approx(a["dis_cond1"], rel=1e-12)
+    assert mir.verdict is rep.verdict
