@@ -18,7 +18,6 @@ from .errors import (  # noqa: F401
     PositivityFailure,
     SgsLabError,
     ShiftOutOfDomain,
-    SpectralAssumptionViolated,
     TailNotResolved,
     ValidationError,
 )

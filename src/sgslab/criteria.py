@@ -250,8 +250,9 @@ def bloch_integral_criterion(
     bd = bloch.bloch_modes(V1, lam, samples=BLOCH_SAMPLES)
     integral = _mode_integral(bd, lambda x: V2(x) - V1(x), 2.0)
     inter = {"integral": integral, "kappa": bd.kappa, "lambda": lam}
-    # the spectrum starts at or above inf V, so lambda < inf V needs no Floquet scan
-    below = all(lam < V.inf_bound() or lam < bloch.spectrum_min(V) for V in (V1, V2))
+    # bloch_modes has already placed lambda below sigma(V1); the spectrum starts
+    # at or above inf V, so lambda < inf V2 needs no Floquet scan
+    below = lam < V2.inf_bound() or lam < bloch.spectrum_min(V2)
     checks = [("lambda below the relevant spectrum bottom", below)]
     notes = ["caller must separately establish the energy ordering of the half-line problems"]
     certified = below and integral < -CERT_TOL

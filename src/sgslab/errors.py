@@ -37,10 +37,6 @@ class NonprojectableState(SgsLabError):
     """Candidate has nonpositive nonlinearity mass and cannot be scaled onto the constraint set."""
 
 
-class SpectralAssumptionViolated(SgsLabError):
-    """lambda is not below the spectrum bottom of every side of the medium."""
-
-
 class NoConvergence(SgsLabError):
     """Ground-state iteration exhausted its budget before reaching the residual target."""
 

@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__, bloch, criteria
 from .errors import (
     H2Violation,
+    LambdaInSpectrum,
     NoConvergence,
     ParseError,
     SgsLabError,
-    SpectralAssumptionViolated,
     ValidationError,
 )
 from .media import (
@@ -73,7 +73,7 @@ class Report:
 def _descriptor(node, where: str) -> FunctionDescriptor:
     try:
         return FunctionDescriptor.from_json(node)
-    except (SgsLabError, TypeError, ValueError) as exc:
+    except (SgsLabError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -172,7 +172,7 @@ def parse_config(source) -> ExperimentSpec:
     if solved is not None:
         try:
             _validate_spectrum(solved, params.lam)
-        except SpectralAssumptionViolated as exc:
+        except LambdaInSpectrum as exc:
             raise ValidationError(str(exc)) from exc
     L = cfg.get("L_dom")
     if L is None and solved is not None:
@@ -186,13 +186,17 @@ def parse_config(source) -> ExperimentSpec:
 
 
 def _number(value, where: str) -> float:
-    """value as a number; a JSON boolean is not one."""
+    """value as a finite number; a JSON boolean is not one, nor are the NaN
+    and Infinity that Python's json reads."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValidationError(f"{where}: expected a number, got {value!r}")
+        else:
+            if np.isfinite(number):
+                return number
+    raise ValidationError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _tol(value, where: str) -> float:

@@ -25,6 +25,13 @@ def _frac(x):
     return x - math.floor(x)
 
 
+def _frequency(n) -> int:
+    """n as a trigonometric frequency: a whole number at least 1."""
+    if float(n) >= 1.0 and float(n).is_integer():
+        return int(n)
+    raise ValueError(f"trigonometric frequency must be a positive integer, got {n}")
+
+
 @dataclass(frozen=True)
 class FunctionDescriptor:
     """A bounded 1-periodic real function.
@@ -43,15 +50,15 @@ class FunctionDescriptor:
     segments: tuple = ()   # ((a, b, value), ...), half-open, covering [0, 1)
 
     def __post_init__(self):
-        object.__setattr__(self, "cos", tuple((int(n), float(a)) for n, a in self.cos))
-        object.__setattr__(self, "sin", tuple((int(n), float(a)) for n, a in self.sin))
+        object.__setattr__(self, "cos", tuple((_frequency(n), float(a)) for n, a in self.cos))
+        object.__setattr__(self, "sin", tuple((_frequency(n), float(a)) for n, a in self.sin))
         object.__setattr__(
             self, "segments", tuple((float(a), float(b), float(v)) for a, b, v in self.segments)
         )
         object.__setattr__(self, "const", float(self.const))
-        for n, _ in self.cos + self.sin:
-            if n < 1:
-                raise ValueError(f"trigonometric frequency must be a positive integer, got {n}")
+        numbers = [self.const, *(a for _, a in self.cos + self.sin), *sum(self.segments, ())]
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("descriptor coefficients and segment bounds must be finite")
         if self.segments:
             if self.const != 0.0 or self.cos or self.sin:
                 raise ValueError("descriptor mixes piecewise segments with trigonometric terms")
@@ -148,86 +155,33 @@ class FunctionDescriptor:
         return FunctionDescriptor(const=self.const + c, cos=self.cos, sin=self.sin)
 
     def shifted(self, delta: float) -> "FunctionDescriptor":
-        """Descriptor of x -> f(x + delta); the shift is absorbed into the
-        coefficients (trig phase rotation / rotation of segment boundaries)."""
-        if delta == 0.0:
-            return self
-        if self.segments:
-            return self._remap(lambda x: x + delta, [a - delta for a, _, _ in self.segments])
-        cosd: dict[int, float] = {}
-        sind: dict[int, float] = {}
-        for n, a in self.cos:
-            c, s = math.cos(TWO_PI * n * delta), math.sin(TWO_PI * n * delta)
-            cosd[n] = cosd.get(n, 0.0) + a * c
-            sind[n] = sind.get(n, 0.0) - a * s
-        for n, a in self.sin:
-            c, s = math.cos(TWO_PI * n * delta), math.sin(TWO_PI * n * delta)
-            sind[n] = sind.get(n, 0.0) + a * c
-            cosd[n] = cosd.get(n, 0.0) + a * s
-        return FunctionDescriptor(
-            const=self.const,
-            cos=tuple(sorted((n, a) for n, a in cosd.items() if a != 0.0)),
-            sin=tuple(sorted((n, a) for n, a in sind.items() if a != 0.0)),
-        )
+        """Descriptor of x -> f(x + delta): _substituted(1, delta)."""
+        return self._substituted(1, delta)
 
     def frequency_scaled(self, k: int) -> "FunctionDescriptor":
-        """Descriptor of x -> f(k x) for integer k >= 1 (still 1-periodic)."""
+        """Descriptor of x -> f(k x) for integer k >= 1: _substituted(k, 0)."""
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise InvalidScale(f"scaling factor must be a positive integer, got {k}")
-        if self.segments:
-            segs = []
-            for j in range(k):
-                for a, b, v in self.segments:
-                    segs.append(((a + j) / k, (b + j) / k, v))
-            return FunctionDescriptor(segments=tuple(segs))
-        return FunctionDescriptor(
-            const=self.const,
-            cos=tuple((n * k, a) for n, a in self.cos),
-            sin=tuple((n * k, a) for n, a in self.sin),
-        )
+        return self._substituted(int(k), 0.0)
 
     def reflected(self) -> "FunctionDescriptor":
-        """Descriptor of x -> f(-x)."""
-        if self.segments:
-            return self._remap(lambda x: -x, [-b for _, b, _ in self.segments])
-        return FunctionDescriptor(
-            const=self.const,
-            cos=self.cos,
-            sin=tuple((n, -a) for n, a in self.sin),
-        )
+        """Descriptor of x -> f(-x): _substituted(-1, 0)."""
+        return self._substituted(-1, 0.0)
 
     def sub(self, other: "FunctionDescriptor") -> "FunctionDescriptor":
         """Pointwise difference self - other, within one descriptor family; a
         constant counts as a member of either."""
         if (self.segments or other.segments) and self._same_family(other):
-            # a constant side adds no breakpoint; the piecewise side starts one at 0
-            breaks = sorted(
-                {round(_frac(a), 15) for a, _, _ in self.segments}
-                | {round(_frac(a), 15) for a, _, _ in other.segments}
+            return self._rebuild(
+                lambda x: self(x) - other(x), [a for f in (self, other) for a, _, _ in f.segments]
             )
-            segs = []
-            pts = list(breaks) + [1.0]
-            for l, r in zip(pts, pts[1:]):
-                if r - l > _BREAK_TOL:
-                    mid = 0.5 * (l + r)
-                    segs.append((l, r, float(self(mid)) - float(other(mid))))
-            return FunctionDescriptor(segments=tuple(segs))
         if not self.segments and not other.segments:
-            cosd: dict[int, float] = {}
-            sind: dict[int, float] = {}
-            for n, a in self.cos:
-                cosd[n] = cosd.get(n, 0.0) + a
-            for n, a in other.cos:
-                cosd[n] = cosd.get(n, 0.0) - a
-            for n, a in self.sin:
-                sind[n] = sind.get(n, 0.0) + a
-            for n, a in other.sin:
-                sind[n] = sind.get(n, 0.0) - a
-            return FunctionDescriptor(
-                const=self.const - other.const,
-                cos=tuple(sorted((n, a) for n, a in cosd.items() if a != 0.0)),
-                sin=tuple(sorted((n, a) for n, a in sind.items() if a != 0.0)),
-            )
+            mine, theirs, zero = self._harmonics(), other._harmonics(), (0.0, 0.0)
+            table = {
+                n: tuple(x - y for x, y in zip(mine.get(n, zero), theirs.get(n, zero)))
+                for n in mine.keys() | theirs.keys()
+            }
+            return self._trig(self.const - other.const, table)
         raise ValueError("cannot subtract a piecewise from a trigonometric descriptor")
 
     def difference_bounds(self, other: "FunctionDescriptor") -> tuple[float, float]:
@@ -249,22 +203,51 @@ class FunctionDescriptor:
     def _same_family(self, other: "FunctionDescriptor") -> bool:
         return self.is_constant or other.is_constant or self.is_piecewise == other.is_piecewise
 
-    def _remap(self, transform, candidate_breaks) -> "FunctionDescriptor":
-        """Rebuild a piecewise descriptor for x -> f(transform(x)); the new
-        breakpoints are the preimages in candidate_breaks, folded into [0, 1)."""
-        pts = sorted({_frac(p) for p in candidate_breaks} | {0.0})
-        merged = [pts[0]]
-        for p in pts[1:]:
-            if p - merged[-1] > _BREAK_TOL:
-                merged.append(p)
-        if merged and 1.0 - merged[-1] <= _BREAK_TOL:
-            merged.pop()
-        segs = []
-        bounds = merged + [1.0]
-        for l, r in zip(bounds, bounds[1:]):
-            mid = 0.5 * (l + r)
-            segs.append((l, r, float(self(transform(mid)))))
-        return FunctionDescriptor(segments=tuple(segs))
+    def _substituted(self, k: int, delta: float) -> "FunctionDescriptor":
+        """Descriptor of x -> f(k x + delta) for a nonzero integer k: piecewise
+        breakpoints move to their preimages, harmonic n becomes |k| n with its
+        phase rotated by 2 pi n delta (and conjugated for k < 0)."""
+        if self.segments:
+            return self._rebuild(
+                lambda x: self(k * x + delta),
+                [(a - delta + j) / k for a, _, _ in self.segments for j in range(abs(k))],
+            )
+        table = {}
+        for n, (a, b) in self._harmonics().items():
+            c, s = math.cos(TWO_PI * n * delta), math.sin(TWO_PI * n * delta)
+            sin = b * c - a * s
+            table[abs(k) * n] = (a * c + b * s, sin if k > 0 else -sin)
+        return self._trig(self.const, table)
+
+    @staticmethod
+    def _rebuild(f, breaks) -> "FunctionDescriptor":
+        """Piecewise descriptor with the candidate breakpoints breaks, folded
+        into [0, 1) with near ties merged, taking f at each segment midpoint."""
+        bounds = [0.0]
+        for p in sorted({_frac(q) for q in breaks}):
+            if p - bounds[-1] > _BREAK_TOL and 1.0 - p > _BREAK_TOL:
+                bounds.append(p)
+        bounds.append(1.0)
+        return FunctionDescriptor(
+            segments=tuple((l, r, float(f(0.5 * (l + r)))) for l, r in zip(bounds, bounds[1:]))
+        )
+
+    def _harmonics(self) -> dict:
+        """{n: [cos amplitude, sin amplitude]}, repeated frequencies summed."""
+        table: dict[int, list[float]] = {}
+        for i, terms in enumerate((self.cos, self.sin)):
+            for n, a in terms:
+                table.setdefault(n, [0.0, 0.0])[i] += a
+        return table
+
+    @staticmethod
+    def _trig(const: float, table: dict) -> "FunctionDescriptor":
+        """Trigonometric descriptor of a harmonic table, sorted, zero amplitudes dropped."""
+        return FunctionDescriptor(
+            const=const,
+            cos=tuple(sorted((n, a) for n, (a, _) in table.items() if a != 0.0)),
+            sin=tuple(sorted((n, b) for n, (_, b) in table.items() if b != 0.0)),
+        )
 
     # -- exact range information ----------------------------------------------
 
@@ -293,12 +276,7 @@ class FunctionDescriptor:
 
     def _amplitudes(self) -> list[float]:
         """Amplitude of each harmonic, its cos and sin terms combined."""
-        amps: dict[int, list[float]] = {}
-        for n, a in self.cos:
-            amps.setdefault(n, [0.0, 0.0])[0] += a
-        for n, a in self.sin:
-            amps.setdefault(n, [0.0, 0.0])[1] += a
-        return [math.hypot(a, b) for a, b in amps.values()]
+        return [math.hypot(a, b) for a, b in self._harmonics().values()]
 
     def sup_norm(self) -> float:
         return max(abs(self.sup_bound()), abs(self.inf_bound()))

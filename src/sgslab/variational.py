@@ -33,9 +33,9 @@ from scipy.optimize import minimize
 
 from . import bloch
 from .errors import (
+    LambdaInSpectrum,
     NoConvergence,
     NonprojectableState,
-    SpectralAssumptionViolated,
     TailNotResolved,
 )
 from .media import (
@@ -240,9 +240,7 @@ def _validate_spectrum(m, lam: float):
     for side in m.sides:
         bottom = bloch.spectrum_min(side.V)
         if lam >= bottom:
-            raise SpectralAssumptionViolated(
-                f"lambda = {lam} is not below the spectrum bottom {bottom}"
-            )
+            raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom {bottom}")
 
 
 def solve_ground_state(

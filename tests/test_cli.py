@@ -321,6 +321,20 @@ def test_out_of_range_solver_budget_is_a_validation_error(tmp_path, capsys, fiel
     _assert_validation_error(tmp_path, capsys, field, value)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("lambda", math.nan), ("lambda", -math.inf), ("L_dom", math.inf), ("h", math.inf),
+     ("medium", {"V": math.nan, "Gamma": 1.0}), ("medium", {"V": 1.0, "Gamma": math.nan}),
+     ("medium", {"V": {"segments": [[0.0, 0.5, 1.0], [0.5, 1.0, math.inf]]}, "Gamma": 1.0}),
+     ("medium", {"V": 10**400, "Gamma": 1.0})],
+    ids=["lambda-nan", "lambda-minus-inf", "L_dom-inf", "h-inf", "V-nan", "Gamma-nan",
+         "segment-value-inf", "V-overflow"],
+)
+def test_non_finite_number_is_a_validation_error(tmp_path, capsys, field, value):
+    # Python's json reads NaN and Infinity; an infinite h would run a 3-node grid
+    _assert_validation_error(tmp_path, capsys, field, value)
+
+
 def _assert_validation_error(tmp_path, capsys, field, value):
     base = {"kind": "groundstate", "medium": {"V": 1.0, "Gamma": 1.0}, "L_dom": 10.0, "h": 0.05}
     raw = dict(base, **{field: value})

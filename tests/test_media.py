@@ -61,6 +61,13 @@ def test_segments_must_partition():
         FunctionDescriptor(segments=((0.0, 0.4, 1.0), (0.5, 1.0, 2.0)))
 
 
+@pytest.mark.parametrize("n", [1.5, 0.5])
+def test_non_whole_frequency_rejected_as_written(n):
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        FunctionDescriptor.from_json({"const": 1.0, "cos": [[n, 0.3]]})
+    assert FunctionDescriptor.from_json({"cos": [[2.0, 0.3]]}).cos == ((2, 0.3),)
+
+
 def test_derivatives_trig():
     f = FunctionDescriptor(const=1.0, cos=((1, 0.5),))
     # d/dx 0.5 cos(2 pi x) = -pi sin(2 pi x)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sgslab import criteria
 from sgslab.criteria import CERT_TOL, Verdict
-from sgslab.media import FunctionDescriptor, PeriodicMedium, compose_interface
+from sgslab.media import _BREAK_TOL, FunctionDescriptor, PeriodicMedium, compose_interface
 
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
 DENSE = np.linspace(0.0, 1.0, 10001)
@@ -85,6 +85,45 @@ def test_sub_is_pointwise_difference(f, g):
             f.sub(g)
         return
     assert_agrees(f.sub(g)(DENSE), f(DENSE) - g(DENSE), away_from(DENSE, breaks(f, g)))
+
+
+def assert_normal_form(f):
+    """Harmonics sorted, distinct and nonzero; breakpoints increasing by more
+    than _BREAK_TOL up to 1."""
+    for terms in (f.cos, f.sin):
+        ns = [n for n, _ in terms]
+        assert ns == sorted(set(ns)) and all(a != 0.0 for _, a in terms)
+    if f.segments:
+        pts = [a for a, _, _ in f.segments] + [1.0]
+        assert all(r - l > _BREAK_TOL for l, r in zip(pts, pts[1:]))
+
+
+@SETTINGS
+@given(descriptors, descriptors, st.floats(-3.0, 3.0, allow_nan=False), st.integers(1, 5))
+def test_transforms_return_normal_form(f, g, delta, k):
+    outs = [f.shifted(delta), f.reflected(), f.frequency_scaled(k)]
+    if f.is_piecewise == g.is_piecewise or f.is_constant or g.is_constant:
+        outs.append(f.sub(g))
+    for h in outs:
+        assert_normal_form(h)
+
+
+@SETTINGS
+@given(descriptors)
+def test_reflected_twice_is_identity(f):
+    assert_agrees(f.reflected().reflected()(DENSE), f(DENSE), away_from(DENSE, breaks(f)))
+    g = f.reflected()  # in normal form
+    if not g.is_piecewise:
+        assert repr(g.reflected().reflected()) == repr(g)
+
+
+@SETTINGS
+@given(descriptors, st.integers(1, 5), st.floats(-3.0, 3.0, allow_nan=False))
+def test_scaling_then_shift_is_shift_then_scaling(f, k, delta):
+    # both are x -> f(k x + k delta)
+    assert_agrees(f.frequency_scaled(k).shifted(delta)(DENSE),
+                  f.shifted(k * delta).frequency_scaled(k)(DENSE),
+                  away_from(k * (DENSE + delta), breaks(f)))
 
 
 @SETTINGS

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from sgslab import oracle
-from sgslab.errors import (
-    NonprojectableState,
-    SpectralAssumptionViolated,
-    TailNotResolved,
-)
+from sgslab.errors import LambdaInSpectrum, NonprojectableState, TailNotResolved
 from sgslab.media import (
     FunctionDescriptor,
     PeriodicMedium,
@@ -155,7 +151,7 @@ def test_solver_mass_scaling_law(grid):
 
 
 def test_solver_rejects_lambda_in_spectrum(grid):
-    with pytest.raises(SpectralAssumptionViolated):
+    with pytest.raises(LambdaInSpectrum):
         solve_ground_state(CONST, ProblemParams(p=3.0, lam=2.0), grid)
 
 
