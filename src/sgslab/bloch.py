@@ -13,6 +13,13 @@ in a fixed order, so runs are bit-reproducible.  The periodic factors p_pm
 obey their own first-order-damped equations; their products over each
 sample interval are applied in the numerically contracting direction, which
 stays well-conditioned for kappa of order 100.  spectrum_min is memoized.
+
+floquet_exponent stops where kappa is known: spectrum gate, monodromy (its
+finiteness and Liouville det = 1 are checked on every call) and the
+discriminant.  Callers that need only kappa or the discriminant (bloch scans,
+the automatic domain extent, the shifted-state decay rate) use it alone;
+bloch_modes adds the two factor propagations and checks their positivity and
+the constancy of their Wronskian wherever p_pm are built.
 """
 
 from __future__ import annotations
@@ -145,9 +152,12 @@ def _rk4(h, q0, qm, q1, c):
 
 def _product(S):
     """S[k-1] @ ... @ S[0] over axis -3, multiplied pairwise in a fixed order."""
-    while S.shape[-3] > 1:
-        k = S.shape[-3] // 2 * 2
-        S = np.concatenate([S[..., 1:k:2, :, :] @ S[..., 0:k:2, :, :], S[..., k:, :, :]], -3)
+    # past kappa ~ 709 the entries overflow; the caller's finiteness check
+    # turns that into IntegrationFailure, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        while S.shape[-3] > 1:
+            k = S.shape[-3] // 2 * 2
+            S = np.concatenate([S[..., 1:k:2, :, :] @ S[..., 0:k:2, :, :], S[..., k:, :, :]], -3)
     return S[..., 0, :, :]
 
 
@@ -164,10 +174,12 @@ def _propagators(V, n, per_block, offset, damping):
 
 def _sweep(blocks, y, v):
     """(y, y') carried across consecutive block propagators: shape (2, blocks + 1)."""
-    out = [(y, v)]
+    ys, vs = [y], [v]
     for a, b, c, d in blocks.reshape(-1, 4).tolist():
-        out.append((a * out[-1][0] + b * out[-1][1], c * out[-1][0] + d * out[-1][1]))
-    return np.array(out).T
+        y, v = a * y + b * v, c * y + d * v
+        ys.append(y)
+        vs.append(v)
+    return np.array([ys, vs])
 
 
 def monodromy(V: FunctionDescriptor, lam: float, steps: int | None = None) -> MonodromyMatrix:
@@ -225,26 +237,31 @@ def _eigvec(m11, m12, m21, m22, rho):
     return pick[0] / nrm, pick[1] / nrm
 
 
-def bloch_modes(
-    V: FunctionDescriptor,
-    lam: float,
-    samples: int = DEFAULT_SAMPLES,
-    steps: int | None = None,
-) -> BlochData:
-    """Bloch modes of -d^2/dx^2 + V - lambda for lambda below the spectrum.
-
-    kappa is taken as the log of the larger Floquet multiplier (stabler than
-    arccosh of half the trace near the band edge); the periodic factors are
-    normalized to sup-norm 1 and positive.
-    """
+def floquet_exponent(V: FunctionDescriptor, lam: float, steps: int | None = None):
+    """(M, rho, kappa) for lambda below the spectrum of -d^2/dx^2 + V: the
+    monodromy, its larger Floquet multiplier and the decay exponent
+    kappa = log rho (stabler than arccosh of half the trace near the band
+    edge).  Only the monodromy is propagated; the periodic factors are not."""
     if lam >= spectrum_min(V):
         raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom")
     M = monodromy(V, lam, steps)
     delta = M.trace
     if delta <= 2.0:
         raise LambdaInSpectrum(f"discriminant {delta} <= 2 at lambda = {lam}")
-    rho_big = delta / 2.0 + math.sqrt(delta * delta / 4.0 - 1.0)
-    kappa = math.log(rho_big)
+    rho = delta / 2.0 + math.sqrt(delta * delta / 4.0 - 1.0)
+    return M, rho, math.log(rho)
+
+
+def bloch_modes(
+    V: FunctionDescriptor,
+    lam: float,
+    samples: int = DEFAULT_SAMPLES,
+    steps: int | None = None,
+) -> BlochData:
+    """Bloch modes of -d^2/dx^2 + V - lambda for lambda below the spectrum:
+    kappa from `floquet_exponent`, and the periodic factors normalized to
+    sup-norm 1 and positive."""
+    M, rho_big, kappa = floquet_exponent(V, lam, steps)
 
     n_total = _step_count(V, lam, steps)
     n_sub = max(1, int(round(n_total / (samples - 1))))
@@ -287,7 +304,7 @@ def bloch_modes(
     return BlochData(
         lam=lam,
         kappa=kappa,
-        discriminant=delta,
+        discriminant=M.trace,
         omega=omega,
         p_plus=pp,
         p_minus=pm,

@@ -133,8 +133,8 @@ def shifted_state_criterion(
     t_list,
 ) -> CriterionReport:
     """Translate the side-1 half-line ground state w to the right and compare
-    the potential-mismatch and nonlinearity-mismatch integrals over x < 0.
-    A row at shift t holds when
+    the potential-mismatch and nonlinearity-mismatch integrals over x < 0
+    (trapezoid rule up to the interface node).  A row at shift t holds when
 
         (p+1) * int (V2 - V1) w_t^2  <  2 * int (G2 - G1) |w_t|^{p+1}.
 
@@ -150,21 +150,31 @@ def shifted_state_criterion(
     if not t_list:
         raise ValueError("t_list must be nonempty")
     grid = w.state.grid
-    weights = _trap_weights(grid)
-    x = grid.x
+    # trapezoid rule over [-L_dom, 0]: the interface node x = 0 (a Grid keeps
+    # it the middle node) has end weight h/2 and the mismatch's left limit
+    mid = grid.nodes // 2
+    weights = _trap_weights(grid)[: mid + 1]
+    weights[mid] *= 0.5
+    x = grid.x[: mid + 1]
     s1, s2 = m.sides
-    left = x < 0.0
-    dV = np.where(left, np.asarray(s2.V(x), float) - np.asarray(s1.V(x), float), 0.0)
-    dG = np.where(left, np.asarray(s2.Gamma(x), float) - np.asarray(s1.Gamma(x), float), 0.0)
+
+    def mismatch(f2, f1):
+        d = np.asarray(f2(x), float) - np.asarray(f1(x), float)
+        # f(0-) is the reflected descriptor at 0; reflection is exact
+        d[mid] = f2.reflected()(0.0) - f1.reflected()(0.0)
+        return d
+
+    dV = mismatch(s2.V, s1.V)
+    dG = mismatch(s2.Gamma, s1.Gamma)
 
     rows = []
     for t in t_list:
-        wt = _interp_shifted(w, t)
+        wt = _interp_shifted(w, t)[: mid + 1]
         lhs = (params.p + 1.0) * float(np.sum(weights * dV * wt * wt))
         rhs = 2.0 * float(np.sum(weights * dG * np.abs(wt) ** (params.p + 1.0)))
         rows.append({"t": t, "lhs": lhs, "rhs": rhs, "holds": lhs < rhs - CERT_TOL})
 
-    kappa = bloch.bloch_modes(s1.V, params.lam).kappa
+    kappa = bloch.floquet_exponent(s1.V, params.lam)[2]
 
     def ratio_ok(key, rate):
         vals = [abs(r[key]) for r in rows]

@@ -12,6 +12,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .media import (
+    _BREAK_TOL,
     FunctionDescriptor,
     PeriodicMedium,
     ProblemParams,
@@ -127,6 +129,11 @@ def parse_config(source) -> ExperimentSpec:
         raise ValidationError(f"max_iter: must be a whole number at least 1, got {max_iter:g}")
     spec.max_iter = int(max_iter)
     spec.tau = _number(cfg.get("tau", 0.0), "tau")
+    if math.ulp(spec.tau) > _BREAK_TOL:
+        raise ValidationError(
+            f"tau: {spec.tau:g} is too large; its float spacing {math.ulp(spec.tau):.3g} "
+            f"exceeds the breakpoint tolerance {_BREAK_TOL:g}"
+        )
 
     media = spec.media
     if kind == "groundstate":
@@ -209,7 +216,7 @@ def _tol(value, where: str) -> float:
 def _auto_extent(pots: list, lam: float) -> float:
     """Domain half-width 12 / kappa_min so the truncated tail is ~e^-12."""
     try:
-        kmin = min(bloch.bloch_modes(V, lam).kappa for V in pots)
+        kmin = min(bloch.floquet_exponent(V, lam)[2] for V in pots)
     except SgsLabError as exc:
         raise ValidationError(
             f"L_dom: the decay exponent at lambda = {lam} cannot be computed ({exc}); give L_dom"
@@ -246,13 +253,9 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         rows = []
         for lam in lam_list:
             try:
-                bd = bloch.bloch_modes(spec.media["V"], lam)
+                M, _, kappa = bloch.floquet_exponent(spec.media["V"], lam)
                 rows.append(
-                    {
-                        "lambda": float(lam),
-                        "discriminant": float(bd.discriminant),
-                        "kappa": float(bd.kappa),
-                    }
+                    {"lambda": float(lam), "discriminant": float(M.trace), "kappa": float(kappa)}
                 )
             except SgsLabError as exc:
                 rows.append({"lambda": lam, "error": str(exc)})

@@ -207,6 +207,8 @@ class FunctionDescriptor:
         """Descriptor of x -> f(k x + delta) for a nonzero integer k: piecewise
         breakpoints move to their preimages, harmonic n becomes |k| n with its
         phase rotated by 2 pi n delta (and conjugated for k < 0)."""
+        if abs(delta) >= 1.0:
+            delta = math.fmod(delta, 1.0)  # exact, so a large shift keeps its fraction
         if self.segments:
             return self._rebuild(
                 lambda x: self(k * x + delta),

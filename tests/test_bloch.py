@@ -8,11 +8,13 @@ import pytest
 from scipy.optimize import brentq
 
 from sgslab import bloch, oracle
-from sgslab.errors import LambdaInSpectrum
+from sgslab.errors import IntegrationFailure, LambdaInSpectrum
 from sgslab.media import FunctionDescriptor
 
 V_CONST = FunctionDescriptor(const=1.0)
 V_MATHIEU = FunctionDescriptor(const=1.0, cos=((1, 0.5),))
+V_KP = FunctionDescriptor(segments=((0.0, 0.3, 1.0), (0.3, 1.0, 2.0)))
+V_TWO = FunctionDescriptor(const=0.5, cos=((1, 0.7),), sin=((2, 0.4),))
 
 
 def test_monodromy_constant_closed_form():
@@ -226,3 +228,38 @@ def test_step_matrix_products_match_scalar_loop():
     M = bloch.monodromy(V_MATHIEU, lam, steps=n)
     ref = np.array([_rk4_loop(q, 1.0 / n, 1.0, 0.0, 0.0), _rk4_loop(q, 1.0 / n, 0.0, 1.0, 0.0)]).T
     assert [M.m11, M.m12, M.m21, M.m22] == pytest.approx(ref.ravel().tolist(), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "V", [V_MATHIEU, V_KP, V_CONST, V_TWO],
+    ids=["mathieu", "kronig-penney", "constant", "two-harmonic"],
+)
+def test_floquet_exponent_is_the_kappa_of_bloch_modes(V):
+    # one implementation of kappa: bit for bit from the band edge to deep
+    # lambda, and the same typed failure where the monodromy overflows
+    bottom = bloch.spectrum_min(V)
+    for lam in (bottom - 1e-9, bottom - 1e-4, -1e3, -1.2e5):
+        M, rho, kappa = bloch.floquet_exponent(V, lam)
+        bd = bloch.bloch_modes(V, lam)
+        assert (kappa, M.trace) == (bd.kappa, bd.discriminant)
+        assert kappa == math.log(rho)
+    for f in (bloch.floquet_exponent, bloch.bloch_modes):
+        with pytest.raises(IntegrationFailure):
+            f(V, -1.3e5)
+
+
+def _sweep_tuples(blocks, y, v):
+    """The factor sweep with one (y, y') tuple per block."""
+    out = [(y, v)]
+    for a, b, c, d in blocks.reshape(-1, 4).tolist():
+        out.append((a * out[-1][0] + b * out[-1][1], c * out[-1][0] + d * out[-1][1]))
+    return np.array(out).T
+
+
+def test_sweep_matches_the_tuple_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 17, 1024):
+        # entries below 1/2 keep every product bounded
+        blocks = rng.uniform(-0.5, 0.5, size=(n, 2, 2))
+        y, v = (float(a) for a in rng.normal(size=2))
+        assert np.array_equal(bloch._sweep(blocks, y, v), _sweep_tuples(blocks, y, v))

@@ -335,6 +335,14 @@ def test_non_finite_number_is_a_validation_error(tmp_path, capsys, field, value)
     _assert_validation_error(tmp_path, capsys, field, value)
 
 
+@pytest.mark.parametrize("tau", [1e15 + 0.2, -8192.0], ids=["1e15", "minus-2^13"])
+def test_unresolvable_tau_is_a_validation_error(tmp_path, capsys, tau):
+    # from |tau| = 2^13 on the float spacing of tau exceeds the 1e-12
+    # breakpoint tolerance, so the shift's fraction is not known
+    _assert_validation_error(tmp_path, capsys, "tau", tau)
+    assert parse_config({"kind": "bloch", "V": 1.0, "tau": 4096.25}).tau == 4096.25
+
+
 def _assert_validation_error(tmp_path, capsys, field, value):
     base = {"kind": "groundstate", "medium": {"V": 1.0, "Gamma": 1.0}, "L_dom": 10.0, "h": 0.05}
     raw = dict(base, **{field: value})
@@ -462,3 +470,39 @@ def test_deep_lambda_dislocation_records_the_criterion_error(tmp_path, capsys):
         "error": "monodromy propagation diverged at lambda = -1000000.0"
     }
     assert "result" in entry
+
+
+def test_kappa_only_runs_build_no_bloch_factors(tmp_path, monkeypatch):
+    # bloch rows, sweep rows and the automatic extent need kappa alone
+    V = {"const": 1.0, "cos": [[1, 0.5]]}
+    cfgs = {
+        "bloch": {"kind": "bloch", "V": V, "lambda_list": [-1.0, -5.0, 2.0]},
+        "sweep": {
+            "kind": "sweep", "base_kind": "bloch", "V": V,
+            "sweep": {"parameter": "lambda", "values": [-1.0, -4.0, 2.0]},
+        },
+        "groundstate": {"kind": "groundstate", "lambda": -1.0, "medium": {"V": V, "Gamma": 1.0},
+                        "h": 0.05},
+    }
+
+    def outputs(tag):
+        files = {}
+        for name, cfg in cfgs.items():
+            out = tmp_path / tag / name
+            assert main(["run", write_cfg(tmp_path, f"{name}.json", cfg), "--out", str(out)]) == 0
+            for path in sorted(out.iterdir()):
+                text = path.read_text()
+                if path.name == "report.json":
+                    report = json.loads(text)
+                    del report["provenance"]["timestamp"]
+                    text = report
+                files[name, path.name] = text
+        return files
+
+    before = outputs("full")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bloch_modes called")
+
+    monkeypatch.setattr(bloch, "bloch_modes", refuse)
+    assert outputs("kappa-only") == before

@@ -186,6 +186,22 @@ def test_shifted_state_lambda_in_spectrum_raises():
         criteria.shifted_state_criterion(w, m, ProblemParams(p=3.0, lam=2.0), [1, 2, 3, 4])
 
 
+def test_shifted_state_rows_match_the_expansion_at_coarse_h():
+    # criteria-mathieu's side-1 ground state: its V mismatch integrates to
+    # near zero by cancellation, so the interface node x = 0 (trapezoid
+    # weight h/2) carries a third of the row at h = 0.04
+    side1 = PeriodicMedium(MATHIEU, FunctionDescriptor(const=1.5))
+    m = compose_interface(side1, SIDE_HIGH)
+    params = ProblemParams(p=3.0, lam=-1.0)
+    w = solve_ground_state(side1, params, Grid.from_extent(14.0, 0.04), SolverOptions(tol=1e-8))
+    row = criteria.shifted_state_criterion(w, m, params, [4]).intermediates["rows"][0]
+    bd = bloch.bloch_modes(side1.V, params.lam)
+    _, dm = d_coefficients(w.state, bd, side1.Gamma, params)
+    lhs, rhs = criteria.asymptotic_expansion(bd, dm, m, params, 4)
+    assert row["lhs"] / lhs == pytest.approx(1.0, abs=0.01)
+    assert row["rhs"] / rhs == pytest.approx(1.0, abs=0.01)
+
+
 # --- large-shift closed form ------------------------------------------------
 
 

@@ -106,6 +106,19 @@ def test_shift_piecewise():
     np.testing.assert_array_equal(g(xs), f(xs + 0.2))
 
 
+@pytest.mark.parametrize(
+    "f",
+    [FunctionDescriptor(segments=((0.0, 0.3, 1.0), (0.3, 1.0, 2.0))),
+     FunctionDescriptor(const=0.5, cos=((1, 0.7),), sin=((2, 0.4),))],
+    ids=["piecewise", "trig"],
+)
+def test_large_shift_keeps_its_fraction(f):
+    # the float 1e15 + 0.2 is 1e15 + 0.25; only its fraction shifts a 1-periodic f
+    assert f.shifted(1e15 + 0.2) == f.shifted(0.25)
+    assert f.shifted(-1e15 - 0.2) == f.shifted(-0.25)
+    assert f.shifted(1e17) == f.shifted(0.0)
+
+
 def test_reflection():
     f = FunctionDescriptor(const=0.5, cos=((1, 0.3),), sin=((2, 0.7),))
     g = f.reflected()
