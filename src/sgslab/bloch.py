@@ -85,14 +85,6 @@ class BlochData:
     x: np.ndarray          # uniform closed sample grid on [0, 1]
 
     @property
-    def multiplier_plus(self) -> float:
-        return math.exp(-self.kappa)
-
-    @property
-    def multiplier_minus(self) -> float:
-        return math.exp(self.kappa)
-
-    @property
     def samples(self) -> int:
         return len(self.x)
 
@@ -324,37 +316,3 @@ def asymptotic_diagnostics(V: FunctionDescriptor, lam: float, samples: int = DEF
     scaled_gap_error = sl * kappa_gap - 0.5 * V.mean()
     p_minus_deviation = float(np.max(np.abs(bd.p_minus - 1.0)))
     return kappa_gap, scaled_gap_error, p_minus_deviation
-
-
-def verify_p_representation(bd: BlochData, V: FunctionDescriptor) -> float:
-    """Evaluate the periodic-boundary integral representation of p_minus with
-    bd's own samples inside the integrals and return the sup-norm mismatch.
-
-    Serves as an independent consistency oracle: a correct p_minus is a fixed
-    point of the representation.  Requires lambda < 0 and kappa != sqrt|lambda|
-    (the representation is written in that non-degenerate form).
-    """
-    lam, kappa = bd.lam, bd.kappa
-    if lam >= 0.0:
-        raise ValueError("representation check requires lambda < 0")
-    sl = math.sqrt(-lam)
-    if abs(kappa - sl) < 1e-8:
-        raise ValueError("representation degenerates when kappa equals sqrt|lambda|")
-    x = np.linspace(-1.0, 0.0, bd.samples)
-    p = bd.p_minus          # periodic: samples on [0,1] represent [-1,0] as well
-    g = p * np.asarray(V(x), dtype=float)
-    h = x[1] - x[0]
-
-    def cumtrapz(y):
-        out = np.zeros_like(y)
-        out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1])) * h
-        return out
-
-    i_minus = cumtrapz(np.exp((kappa - sl) * x) * g)
-    i_plus = cumtrapz(np.exp((kappa + sl) * x) * g)
-    alpha = i_minus[-1] / (2.0 * sl * (math.exp(kappa - sl) - 1.0))
-    beta = -i_plus[-1] / (2.0 * sl * (math.exp(kappa + sl) - 1.0))
-    rhs = (alpha + i_minus / (2.0 * sl)) * np.exp((-kappa + sl) * x) + (
-        beta - i_plus / (2.0 * sl)
-    ) * np.exp((-kappa - sl) * x)
-    return float(np.max(np.abs(rhs - p)))

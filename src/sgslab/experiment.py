@@ -335,12 +335,11 @@ def emit_report(report: Report, out_dir) -> list:
     if report.profiles:
         ppath = out / "profiles.csv"
         with ppath.open("w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "u", "V", "Gamma"])
+            # the rows csv.writer would write: repr of each float, CRLF
+            fh.write("x,u,V,Gamma\r\n")
             for grid, values, medium in report.profiles:
-                V, G = eval_medium(medium, grid.x)
-                for xi, ui, vi, gi in zip(grid.x, values, np.atleast_1d(V), np.atleast_1d(G)):
-                    wr.writerow([repr(float(xi)), repr(float(ui)), repr(float(vi)), repr(float(gi))])
+                rows = np.column_stack((grid.x, values, *eval_medium(medium, grid.x))).tolist()
+                fh.write("".join(f"{x!r},{u!r},{v!r},{g!r}\r\n" for x, u, v, g in rows))
         paths.append(ppath)
 
     if report.bands:

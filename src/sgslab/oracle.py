@@ -20,7 +20,7 @@ import numpy as np
 
 from .bloch import BlochData
 from .errors import LambdaInSpectrum, NonprojectableState
-from .media import ProblemParams
+from .media import FunctionDescriptor, ProblemParams
 from .variational import Grid, GridFunction, _Discretization
 
 
@@ -72,6 +72,40 @@ def constant_bloch_reference(v0: float, lam: float, samples: int = 1025) -> Bloc
         dp_minus=zeros.copy(),
         x=np.linspace(0.0, 1.0, samples),
     )
+
+
+def verify_p_representation(bd: BlochData, V: FunctionDescriptor) -> float:
+    """Evaluate the periodic-boundary integral representation of p_minus with
+    bd's own samples inside the integrals and return the sup-norm mismatch.
+
+    Serves as an independent consistency oracle: a correct p_minus is a fixed
+    point of the representation.  Requires lambda < 0 and kappa != sqrt|lambda|
+    (the representation is written in that non-degenerate form).
+    """
+    lam, kappa = bd.lam, bd.kappa
+    if lam >= 0.0:
+        raise ValueError("representation check requires lambda < 0")
+    sl = math.sqrt(-lam)
+    if abs(kappa - sl) < 1e-8:
+        raise ValueError("representation degenerates when kappa equals sqrt|lambda|")
+    x = np.linspace(-1.0, 0.0, bd.samples)
+    p = bd.p_minus          # periodic: samples on [0,1] represent [-1,0] as well
+    g = p * np.asarray(V(x), dtype=float)
+    h = x[1] - x[0]
+
+    def cumtrapz(y):
+        out = np.zeros_like(y)
+        out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1])) * h
+        return out
+
+    i_minus = cumtrapz(np.exp((kappa - sl) * x) * g)
+    i_plus = cumtrapz(np.exp((kappa + sl) * x) * g)
+    alpha = i_minus[-1] / (2.0 * sl * (math.exp(kappa - sl) - 1.0))
+    beta = -i_plus[-1] / (2.0 * sl * (math.exp(kappa + sl) - 1.0))
+    rhs = (alpha + i_minus / (2.0 * sl)) * np.exp((-kappa + sl) * x) + (
+        beta - i_plus / (2.0 * sl)
+    ) * np.exp((-kappa - sl) * x)
+    return float(np.max(np.abs(rhs - p)))
 
 
 @dataclass(frozen=True)

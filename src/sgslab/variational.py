@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, solve_banded
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from . import bloch
 from .errors import (
@@ -160,7 +160,11 @@ class _Discretization:
 
     def force(self, v: np.ndarray) -> np.ndarray:
         """h Gamma |v|^{p-1} v, the gradient of nl / (p + 1)."""
-        return self.wG * np.abs(v) ** (self.p - 1.0) * v
+        f = np.abs(v)
+        f **= self.p - 1.0
+        f *= self.wG
+        f *= v
+        return f
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Gradient of J at v: h times the strong-form residual."""
@@ -243,6 +247,47 @@ def _validate_spectrum(m, lam: float):
             raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom {bottom}")
 
 
+def minimize(fg, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
+    """Unbounded L-BFGS-B (memory 10) on fg(x) -> (f, grad f) from x0.
+
+    Drives scipy's kernel `setulb` in the loop that
+    scipy.optimize.minimize(fg, x0, jac=True, method="L-BFGS-B") runs with
+    maxiter max_iter, maxfun 3 max_iter, gtol 1e-16 and ftol 1e-18, without
+    its per-evaluation wrappers, so the iterates are the same bits.  Like
+    minimize, it does not re-evaluate fg at the point it last evaluated, and
+    counts only distinct evaluations.  It stops when the kernel converges or
+    stalls, or at the first new iterate once max_iter iterations or more than
+    3 max_iter evaluations are spent.  fg must not modify its argument.
+    Returns (x, iterations).
+    """
+    m, n = 10, x0.size
+    x = np.array(x0, dtype=np.float64)
+    f, g = np.array(0.0), np.zeros(n)
+    free, nbd = np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = 1e-18 / np.finfo(float).eps
+    nit = nfev = 0
+    while True:
+        setulb(m, x, free, free, nbd, f, g, factr, 1e-16, wa, iwa, task,
+               lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: f and g at x
+            if nfev == 0 or not (x == seen).all():
+                fx, gx = fg(x)
+                seen = x.copy()
+                nfev += 1
+            f, g = fx, gx.copy()  # the kernel may overwrite g
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            nit += 1
+            if nit >= max_iter:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > 3 * max_iter:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            return x, nit
+
+
 def solve_ground_state(
     m, params: ProblemParams, grid: Grid, opts: SolverOptions | None = None
 ) -> GroundStateResult:
@@ -291,27 +336,16 @@ def solve_ground_state(
         if nl <= 0.0:
             return math.inf, np.zeros_like(x)
         s2 = (q / nl) ** (2.0 / (p - 1.0))
-        back = dtbtrs(R, f, trans="T")[0]
-        return params.eta * q * s2, s2 * x - s2 ** ((p + 1.0) / 2.0) * back
+        back = dtbtrs(R, f, trans="T", overwrite_b=1)[0]
+        back *= s2 ** ((p + 1.0) / 2.0)
+        return params.eta * q * s2, s2 * x - back
 
     # ---- stage 1: L-BFGS-B on the projected energy, run until it stalls ----
     u = project(_seed(grid, m, float(np.mean(op.V)), params.lam, opts.seed_center))[0]
     x0 = R[1] * u  # x0 = R u
     x0[:-1] += R[0, 1:] * u[1:]
-    res = minimize(
-        reduced,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": opts.max_iter,
-            "maxfun": 3 * opts.max_iter,
-            "gtol": 1e-16,
-            "ftol": 1e-18,
-        },
-    )
-    it = int(res.nit)
-    u, energy, g, residual = project(dtbtrs(R, res.x)[0])
+    x, it = minimize(reduced, x0, opts.max_iter)
+    u, energy, g, residual = project(dtbtrs(R, x)[0])
 
     # ---- stage 2: banded Newton finish ----
     # A near-null Jacobian mode (a state in a constant medium, whose

@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, and report emission."""
 
 import csv
+import io
 import json
 import math
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from sgslab import bloch
 from sgslab.errors import ParseError, ValidationError
 from sgslab.experiment import emit_report, main, parse_config, run_experiment
-from sgslab.media import FunctionDescriptor
+from sgslab.media import FunctionDescriptor, eval_medium
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -244,6 +245,31 @@ def test_emit_report_twice_writes_identical_files(tmp_path):
         texts.append(((out / "report.json").read_text(), (out / "profiles.csv").read_text()))
     assert texts[0] == texts[1]
     assert "_profile" not in texts[0][0]
+
+
+def test_profiles_csv_is_the_csv_writer_format(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        "iface.json",
+        {
+            "kind": "interface",
+            "lambda": 0.0,
+            "L_dom": 10.0,
+            "h": 0.08,
+            "side1": {"V": {"const": 1.0, "cos": [[1, 0.5]]}, "Gamma": 1.5},
+            "side2": {"V": 1.0, "Gamma": 1.0},
+        },
+    )
+    report = run_experiment(parse_config(cfg))
+    emit_report(report, tmp_path / "out")
+    expected = io.StringIO(newline="")
+    wr = csv.writer(expected)
+    wr.writerow(["x", "u", "V", "Gamma"])
+    for grid, values, medium in report.profiles:
+        V, G = eval_medium(medium, grid.x)
+        for row in zip(grid.x, values, V, G):
+            wr.writerow([repr(float(c)) for c in row])
+    assert (tmp_path / "out" / "profiles.csv").read_bytes() == expected.getvalue().encode()
 
 
 @pytest.mark.parametrize(

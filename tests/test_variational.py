@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from sgslab import oracle
+from sgslab import oracle, variational
 from sgslab.errors import LambdaInSpectrum, NonprojectableState, TailNotResolved
 from sgslab.media import (
     FunctionDescriptor,
@@ -22,6 +23,7 @@ from sgslab.variational import (
     d_coefficients,
     envelope_check,
     grad_J,
+    minimize,
     nehari_project,
     solve_ground_state,
 )
@@ -272,3 +274,53 @@ def test_solver_pinned_energies(grid, medium, tol, seed_center, energy):
     g = grad_J(res.state, medium, P3)[1:-1]
     residual = float(np.linalg.norm(g / grid.h)) * math.sqrt(grid.h)
     assert residual == pytest.approx(res.residual, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def handed_objectives():
+    """The objective and start point solve_ground_state hands to minimize,
+    for the drift interface (L = 20, h = 0.08) and for side 1 of the
+    periodic-Mathieu criteria run (Gamma = 1.5, lambda = -1, L = 10, h = 0.04)."""
+    handed = []
+
+    def record(fg, x0, max_iter):
+        handed.append((fg, x0.copy()))
+        return minimize(fg, x0, max_iter)
+
+    fd = FunctionDescriptor
+    drift = compose_interface(
+        PeriodicMedium(fd(const=1.0), fd(const=2.0)), PeriodicMedium(fd(const=2.0), fd(const=1.0))
+    )
+    mathieu = PeriodicMedium(fd(const=1.0, cos=((1, 0.5),)), fd(const=1.5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variational, "minimize", record)
+        solve_ground_state(drift, P3, Grid.from_extent(20.0, 0.08), SolverOptions(strict=False))
+        solve_ground_state(mathieu, ProblemParams(p=3.0, lam=-1.0), Grid.from_extent(10.0, 0.04))
+    return {"drift": handed[0], "mathieu": handed[1]}
+
+
+@pytest.mark.parametrize(
+    "case, max_iter",
+    [("drift", 5000), ("drift", 50), ("mathieu", 50_000)],
+    ids=["drift-ftol-stop", "drift-budget-stop", "criteria-mathieu-side1"],
+)
+def test_lbfgsb_driver_matches_scipy_minimize(handed_objectives, case, max_iter):
+    # minimize drives scipy's private L-BFGS-B kernel with minimize's own
+    # settings; a scipy release that changes the kernel or how minimize
+    # drives it must fail here rather than move the solver's iterates
+    fg, x0 = handed_objectives[case]
+    x, nit = minimize(fg, x0, max_iter)
+    ref = scipy.optimize.minimize(
+        fg,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": max_iter, "maxfun": 3 * max_iter, "gtol": 1e-16, "ftol": 1e-18},
+    )
+    assert nit == ref.nit
+    assert np.array_equal(x, ref.x)
+    assert fg(x)[0] == ref.fun
+    if max_iter == 50:
+        assert nit == 50
+    else:
+        assert nit < max_iter
