@@ -8,8 +8,10 @@ two Floquet solutions split into a decaying and a growing mode
 
 One fixed-step RK4 propagator serves the monodromy and the Bloch factors.
 Each step of the linear ODE is a 2x2 matrix, built with numpy in chunks
-(a piecewise V gets its breakpoints as extra nodes) and multiplied pairwise
-in a fixed order, so runs are bit-reproducible.  The periodic factors p_pm
+(a piecewise V gets its breakpoints as extra nodes) as four arrays of its
+entries, and multiplied pairwise in a fixed order with each 2x2 product
+written out elementwise: no BLAS call, so the bits of every result here do
+not depend on the BLAS kernel picked for the CPU.  The periodic factors p_pm
 obey their own first-order-damped equations; their products over each
 sample interval are applied in the numerically contracting direction, which
 stays well-conditioned for kappa of order 100.  spectrum_min is memoized.
@@ -130,7 +132,15 @@ def _substeps(V: FunctionDescriptor, n: int, i0: int, i1: int, offset: float):
 
 def _rk4(h, q0, qm, q1, c):
     """Classical RK4 step matrices of y'' + c y' + q y = 0 (q = q0, qm, q1 at start,
-    middle, end), shape (..., 2, 2), expanded in h; a zero-length step is I."""
+    middle, end) as the entries (s11, s12, s21, s22), expanded in h; a zero-length
+    step is I.  At c == 0.0 the damping terms are exact zeros and are left out."""
+    if c == 0.0:
+        return (
+            1.0 + h * h * (-(q0 + 2.0 * qm) / 6.0 + h * (h * q0 * qm / 24.0)),
+            h * (1.0 + h * (h * (-qm / 6.0))),
+            h * (-(q0 + 4.0 * qm + q1) / 6.0 + h * (h * ((q0 + q1) * qm / 12.0))),
+            1.0 + h * (h * ((-q1 - 2.0 * qm) / 6.0 + h * (h * (q1 * qm) / 24.0))),
+        )
     cc = c * c
     s11 = 1.0 + h * h * (
         -(q0 + 2.0 * qm) / 6.0 + h * (c * (q0 + qm) / 12.0 + h * q0 * (qm - cc) / 24.0))
@@ -139,35 +149,46 @@ def _rk4(h, q0, qm, q1, c):
         ((q0 + q1) * qm - cc * (q0 + qm)) / 12.0 + h * c * q0 * (cc - qm - q1) / 24.0)))
     s22 = 1.0 + h * (-c + h * ((3.0 * cc - q1 - 2.0 * qm) / 6.0 + h * (
         c * (q1 + 3.0 * qm - 2.0 * cc) / 12.0 + h * (cc * (cc - q1 - 2.0 * qm) + q1 * qm) / 24.0)))
-    return np.stack([np.stack([s11, s12], -1), np.stack([s21, s22], -1)], -2)
+    return s11, s12, s21, s22
 
 
-def _product(S):
-    """S[k-1] @ ... @ S[0] over axis -3, multiplied pairwise in a fixed order."""
+def _product(s):
+    """Entries of S[k-1] ... S[0] for the matrices S[i] = [[s11, s12], [s21, s22]][i]
+    along axis 0, multiplied pairwise in a fixed order, (1, 0), (3, 2), ..., with
+    an odd leftover carried last.  Each 2x2 product is written out elementwise,
+    so no BLAS kernel decides its rounding."""
     # past kappa ~ 709 the entries overflow; the caller's finiteness check
     # turns that into IntegrationFailure, so numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        while S.shape[-3] > 1:
-            k = S.shape[-3] // 2 * 2
-            S = np.concatenate([S[..., 1:k:2, :, :] @ S[..., 0:k:2, :, :], S[..., k:, :, :]], -3)
-    return S[..., 0, :, :]
+        while len(s[0]) > 1:
+            k = len(s[0]) // 2 * 2
+            a11, a12, a21, a22 = (x[1:k:2] for x in s)
+            b11, b12, b21, b22 = (x[0:k:2] for x in s)
+            c = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                 a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+            s = c if k == len(s[0]) else tuple(np.concatenate([y, x[k:]]) for y, x in zip(c, s))
+    return tuple(x[0] for x in s)
 
 
 def _propagators(V, n, per_block, offset, damping):
-    """RK4 propagators of y'' + damping * y' + (offset - V) y = 0 across each block
-    of per_block steps of the n-step grid, (n // per_block, 2, 2), in chunks."""
+    """Entries of the RK4 propagators of y'' + damping * y' + (offset - V) y = 0
+    across each block of per_block steps of the n-step grid, four arrays of
+    n // per_block, built in chunks with the step axis first and the blocks
+    of a chunk contiguous along the second."""
     out, per_chunk = [], max(1, _CHUNK // per_block)
     for j0 in range(0, n // per_block, per_chunk):
         j1 = min(n // per_block, j0 + per_chunk)
         sub = _substeps(V, n, j0 * per_block, j1 * per_block, offset)
-        out.append(_product(_rk4(*(a.reshape(j1 - j0, -1) for a in sub), damping)))
-    return np.concatenate(out)
+        steps = (np.ascontiguousarray(a.reshape(j1 - j0, -1).T) for a in sub)
+        out.append(_product(_rk4(*steps, damping)))
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
-def _sweep(blocks, y, v):
-    """(y, y') carried across consecutive block propagators: shape (2, blocks + 1)."""
+def _sweep(s, y, v):
+    """(y, y') carried across consecutive block propagators with entries
+    s = (s11, s12, s21, s22): shape (2, blocks + 1)."""
     ys, vs = [y], [v]
-    for a, b, c, d in blocks.reshape(-1, 4).tolist():
+    for a, b, c, d in zip(*(x.tolist() for x in s)):
         y, v = a * y + b * v, c * y + d * v
         ys.append(y)
         vs.append(v)
@@ -178,7 +199,7 @@ def monodromy(V: FunctionDescriptor, lam: float, steps: int | None = None) -> Mo
     """Propagate the fundamental system of -u'' + (V - lambda) u = 0 from
     x = 0 to x = 1: the ordered product of the RK4 step matrices."""
     n = _step_count(V, lam, steps)
-    (a11, a12), (a21, a22) = _product(_propagators(V, n, math.gcd(n, _CHUNK), lam, 0.0)).tolist()
+    a11, a12, a21, a22 = map(float, _product(_propagators(V, n, math.gcd(n, _CHUNK), lam, 0.0)))
     M = MonodromyMatrix(m11=a11, m12=a12, m21=a21, m22=a22, lam=lam)
     if not all(map(math.isfinite, (a11, a12, a21, a22))):
         raise IntegrationFailure(f"monodromy propagation diverged at lambda = {lam}")

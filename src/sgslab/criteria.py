@@ -386,7 +386,9 @@ def dislocation_report(
     given lambda when either integral is negative (dis_cond1 and
     dis_cond1_prime).  The qualitative branches (`boundary_condition` on the
     same two pairs, and the small-shift curvature test) certify only
-    asymptotically, for lambda sufficiently negative.
+    asymptotically, for lambda sufficiently negative.  When the mirror image
+    equals the interface itself (an even V0), each criterion runs once and
+    serves both orientations.
     """
     V_right = V0.shifted(tau)   # side 1
     V_left = V0.shifted(-tau)   # side 2
@@ -403,16 +405,19 @@ def dislocation_report(
             ["zero dislocation: both sides identical"],
         )
 
-    integrals = [bloch_integral_criterion(V1, V2, lam) for V1, V2 in pairs]
-    inter["dis_cond1"], inter["dis_cond1_prime"] = (r.intermediates["integral"] for r in integrals)
-    inter["kappa_side1"], inter["kappa_side2"] = (r.intermediates["kappa"] for r in integrals)
+    # for an even V0 the mirror image is the interface itself: one orientation
+    distinct = dict.fromkeys(pairs)
+    integrals = {p: bloch_integral_criterion(*p, lam) for p in distinct}
+    inter["dis_cond1"], inter["dis_cond1_prime"] = (
+        integrals[p].intermediates["integral"] for p in pairs)
+    inter["kappa_side1"], inter["kappa_side2"] = (integrals[p].intermediates["kappa"] for p in pairs)
 
     # interface-point comparison of the two shifted copies, in both orientations
     inter["V0_at_minus_tau"] = float(V_left(0.0))
     inter["V0_at_tau"] = float(V_right(0.0))
     boundary_fires = False
     try:
-        tests = [boundary_condition(V1, V2) for V1, V2 in pairs]
+        tests = [boundary_condition(*p) for p in distinct]
         boundary_fires = any(r.verdict is Verdict.ExistenceCertified for r in tests)
         if "dV1_at_0" in tests[0].intermediates:
             inter["dV0_at_minus_tau"] = tests[0].intermediates["dV2_at_0"]
@@ -436,7 +441,7 @@ def dislocation_report(
         notes.append("small-shift test unavailable at a breakpoint")
     inter["small_shift_branch_fires"] = small_shift_fires
 
-    if any(r.verdict is Verdict.ExistenceCertified for r in integrals):
+    if any(r.verdict is Verdict.ExistenceCertified for r in integrals.values()):
         checks.append(("mode-weighted mismatch integral negative", True))
         return CriterionReport(
             "dislocation_report", Verdict.ExistenceCertified, inter, checks, notes

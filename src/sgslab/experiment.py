@@ -3,7 +3,11 @@
 Configs are JSON files describing one of six experiment kinds; results are
 written as report.json plus CSV curve files (profiles.csv for solved states,
 bands.csv for spectral scans).  Runs are deterministic: the same config and
-build produce byte-identical reports apart from the timestamp field.
+build produce byte-identical reports apart from the timestamp field.  Floquet
+results (bands, kappa, the Bloch-wave criteria) do not depend on the BLAS
+kernel OpenBLAS picks for the CPU; a solved state does, through the solver's
+dot products, banded solves and L-BFGS-B kernel, so its bytes match only
+between runs on the same kernel.
 """
 
 from __future__ import annotations

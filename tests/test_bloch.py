@@ -2,11 +2,17 @@
 
 import cmath
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import sgslab
 from sgslab import bloch, oracle
 from sgslab.errors import IntegrationFailure, LambdaInSpectrum
 from sgslab.media import FunctionDescriptor
@@ -220,7 +226,7 @@ def test_step_matrix_products_match_scalar_loop():
     q = lam - np.asarray(V_MATHIEU(np.linspace(0.0, 1.0, 2 * n + 1)))
     for damping in (0.0, 2.5):
         steps = bloch._rk4(*bloch._substeps(V_MATHIEU, n, 0, n, lam), damping)
-        S = bloch._product(steps.reshape(-1, 2, 2))
+        S = np.reshape(bloch._product(steps), (2, 2))
         for y0, v0 in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8)):
             ref = _rk4_loop(q, 1.0 / n, y0, v0, damping)
             assert S @ [y0, v0] == pytest.approx(ref, rel=1e-13, abs=1e-13)
@@ -261,4 +267,101 @@ def test_sweep_matches_the_tuple_loop_bit_for_bit():
         # entries below 1/2 keep every product bounded
         blocks = rng.uniform(-0.5, 0.5, size=(n, 2, 2))
         y, v = (float(a) for a in rng.normal(size=2))
-        assert np.array_equal(bloch._sweep(blocks, y, v), _sweep_tuples(blocks, y, v))
+        s = tuple(blocks.reshape(-1, 4).T)
+        assert np.array_equal(bloch._sweep(s, y, v), _sweep_tuples(blocks, y, v))
+
+
+def _product_tree(mats):
+    """S[k-1] ... S[0] of (m11, m12, m21, m22) tuples in Python floats, over the
+    kernel's pairwise tree: (1, 0), (3, 2), ..., an odd leftover carried last."""
+    while len(mats) > 1:
+        k = len(mats) // 2 * 2
+        mats = [
+            (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+            for (a11, a12, a21, a22), (b11, b12, b21, b22) in zip(mats[1:k:2], mats[0:k:2])
+        ] + mats[k:]
+    return mats[0]
+
+
+def test_product_matches_the_pairwise_float_tree_bit_for_bit():
+    # near-identity factors, like RK4 steps, keep the long products finite
+    rng = np.random.default_rng(7)
+    for shape in ((1,), (2,), (17,), (4096,), (4, 1024), (17, 3), (1, 5)):
+        eye = np.eye(2).reshape(4, *[1] * len(shape))
+        s = eye + rng.uniform(-0.01, 0.01, size=(4, *shape))
+        got = np.reshape(bloch._product(tuple(s)), (4, -1))
+        columns = s.reshape(4, shape[0], -1)
+        for j in range(columns.shape[2]):
+            ref = _product_tree([tuple(m) for m in columns[:, :, j].T.tolist()])
+            assert got[:, j].tolist() == list(ref)
+
+
+def _rk4_general(h, q0, qm, q1, c):
+    """The step-matrix entries with every damping term, as the kernel writes them."""
+    cc = c * c
+    s11 = 1.0 + h * h * (
+        -(q0 + 2.0 * qm) / 6.0 + h * (c * (q0 + qm) / 12.0 + h * q0 * (qm - cc) / 24.0))
+    s12 = h * (1.0 + h * (-0.5 * c + h * ((cc - qm) / 6.0 + h * c * (2.0 * qm - cc) / 24.0)))
+    s21 = h * (-(q0 + 4.0 * qm + q1) / 6.0 + h * (c * (q0 + 2.0 * qm) / 6.0 + h * (
+        ((q0 + q1) * qm - cc * (q0 + qm)) / 12.0 + h * c * q0 * (cc - qm - q1) / 24.0)))
+    s22 = 1.0 + h * (-c + h * ((3.0 * cc - q1 - 2.0 * qm) / 6.0 + h * (
+        c * (q1 + 3.0 * qm - 2.0 * cc) / 12.0 + h * (cc * (cc - q1 - 2.0 * qm) + q1 * qm) / 24.0)))
+    return s11, s12, s21, s22
+
+
+def test_undamped_step_matrices_are_the_general_formulas_at_zero_damping():
+    # the monodromy's steps leave out terms that are exact zeros at c = 0.0;
+    # inputs: smooth V, breakpoints with zero-length sub-steps, q = 0 at the
+    # band edge of a constant V, and random q over ten decades
+    rng = np.random.default_rng(3)
+    h = rng.choice([0.0, 1e-4, 1.0 / 4096, 0.3], size=4000)
+    q = rng.normal(size=(3, 4000)) * rng.choice([1e-3, 1.0, 1e5], size=(3, 4000))
+    inputs = [
+        bloch._substeps(V_MATHIEU, 4096, 0, 4096, -2.0),
+        bloch._substeps(V_KP, 1024, 0, 1024, -1.5),
+        bloch._substeps(V_CONST, 64, 0, 64, 1.0),
+        (h, *q),
+    ]
+    for args in inputs:
+        for c in (0.0, 2.5):
+            for got, ref in zip(bloch._rk4(*args, c), _rk4_general(*args, c)):
+                assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+
+
+_FLOQUET_OUTPUTS = """
+import hashlib, json
+from sgslab import bloch, criteria
+from sgslab.media import FunctionDescriptor as F
+mathieu = F(const=1.0, cos=((1, 0.5),))
+kp = F(segments=((0.0, 0.3, -1.0), (0.3, 1.0, 3.0)))
+for V in (mathieu, kp):
+    bottom = bloch.spectrum_min(V)
+    print(bottom.hex())
+    for lam in (-2.0, bottom - 1e-4):
+        M = bloch.monodromy(V, lam)
+        print([x.hex() for x in (M.m11, M.m12, M.m21, M.m22)])
+        bd = bloch.bloch_modes(V, lam)
+        print(bd.kappa.hex(), bd.omega.hex(), [hashlib.sha256(a.tobytes()).hexdigest()
+                                              for a in (bd.p_plus, bd.p_minus, bd.dp_plus, bd.dp_minus)])
+print(json.dumps(criteria.dislocation_report(mathieu, F(const=1.0), 0.25, -2.0).to_json()))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels only")
+def test_floquet_bits_do_not_follow_the_blas_kernel():
+    # a 2x2 product handed to BLAS rounds with FMA under the Haswell and
+    # SkylakeX kernels and without it under Prescott; the Floquet layer must
+    # give the same bits under both
+    outputs = []
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ, PYTHONPATH=str(Path(sgslab.__file__).parents[1]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        run = subprocess.run([sys.executable, "-c", _FLOQUET_OUTPUTS], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

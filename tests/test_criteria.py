@@ -421,6 +421,37 @@ def test_dislocation_oscillatory_quarter_shift():
     assert inter["small_shift_branch_fires"]
 
 
+@pytest.mark.parametrize(
+    "V0, calls",
+    [
+        (MATHIEU, 1),
+        (FunctionDescriptor(const=1.0, cos=((1, 0.5), (2, 0.2))), 1),
+        (FunctionDescriptor(const=1.0, sin=((1, 0.5),)), 2),
+        (FunctionDescriptor(segments=((0.0, 0.3, -1.0), (0.3, 1.0, 3.0))), 2),
+        # even, but the mirrored breakpoints differ from the shifted ones by rounding
+        (FunctionDescriptor(segments=((0.0, 0.25, 3.0), (0.25, 0.75, -1.0), (0.75, 1.0, 3.0))), 2),
+    ],
+    ids=["mathieu", "even-two-harmonic", "sine", "kronig-penney", "even-piecewise"],
+)
+def test_dislocation_integrates_each_distinct_orientation_once(V0, calls, monkeypatch):
+    # an even V0 mirrors the dislocated interface onto itself: one Bloch integral
+    # serves both orientations; otherwise each orientation is its own criterion
+    tau, lam = 0.2, -2.0
+    V1, V2 = V0.shifted(tau), V0.shifted(-tau)
+    alone = [criteria.bloch_integral_criterion(*pair, lam).intermediates
+             for pair in ((V1, V2), (V2.reflected(), V1.reflected()))]
+    seen = []
+    modes = bloch.bloch_modes
+    monkeypatch.setattr(bloch, "bloch_modes", lambda *a, **k: seen.append(a) or modes(*a, **k))
+    inter = criteria.dislocation_report(V0, CONST_G1, tau, lam).intermediates
+    assert len(seen) == calls
+    assert (inter["dis_cond1"], inter["kappa_side1"]) == (alone[0]["integral"], alone[0]["kappa"])
+    assert (inter["dis_cond1_prime"], inter["kappa_side2"]) == (alone[1]["integral"], alone[1]["kappa"])
+    if calls == 1:
+        assert inter["dis_cond1"] == inter["dis_cond1_prime"]
+        assert inter["kappa_side1"] == inter["kappa_side2"]
+
+
 def test_dislocation_negative_shift_small_branch():
     # tau < 0 with V0''(0) < 0 must not fire the small-shift branch
     rep = criteria.dislocation_report(MATHIEU, CONST_G1, -0.25, -20.0)
