@@ -6,29 +6,31 @@ two Floquet solutions split into a decaying and a growing mode
 
     u_pm(x) = p_pm(x) exp(mp kappa x),   p_pm 1-periodic, positive.
 
-One fixed-step RK4 propagator serves the monodromy and the Bloch factors.
-Each step of the linear ODE is a 2x2 matrix, built with numpy in chunks
-(a piecewise V gets its breakpoints as extra nodes) as four arrays of its
-entries, and multiplied pairwise in a fixed order with each 2x2 product
-written out elementwise: no BLAS call, so the bits of every result here do
-not depend on the BLAS kernel picked for the CPU.  The periodic factors p_pm
-obey their own first-order-damped equations; their products over each
-sample interval are applied in the numerically contracting direction, which
-stays well-conditioned for kappa of order 100.  spectrum_min is memoized.
+One fixed-step RK4 propagator of -u'' + (V - lambda) u = 0 serves the
+monodromy and the Bloch factors.  Each step of the linear ODE is a 2x2 matrix,
+built with numpy in chunks (a piecewise V gets its breakpoints as extra nodes)
+as four arrays of its entries, and multiplied pairwise in a fixed order with
+each 2x2 product written out elementwise: no BLAS call, so the bits of every
+result here do not depend on the BLAS kernel picked for the CPU.  The periodic
+factors come from one more undamped propagation, over the sample intervals:
+a sweep of the blocks scaled by exp(-kappa dx) carries exp(-kappa x) u_minus
+forward, and a sweep of their adjugates, scaled alike, carries
+exp(kappa (x - 1)) u_plus backward.  Each sweep runs the way its mode grows,
+so both stay in the range of the factors.  spectrum_min is memoized.
 
 floquet_exponent stops where kappa is known: spectrum gate, monodromy (its
 finiteness and Liouville det = 1 are checked on every call) and the
 discriminant.  Callers that need only kappa or the discriminant (bloch scans,
 the automatic domain extent, the shifted-state decay rate) use it alone;
-bloch_modes adds the two factor propagations and checks their positivity and
-the constancy of their Wronskian wherever p_pm are built.
+bloch_modes adds the factor propagation and its two sweeps, and checks the
+positivity of p_pm and the constancy of their Wronskian wherever they are built.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -57,7 +59,6 @@ class MonodromyMatrix:
     m12: float
     m21: float
     m22: float
-    lam: float
 
     @property
     def trace(self) -> float:
@@ -109,13 +110,13 @@ class BlochData:
         return np.interp(xf - np.floor(xf), self.x, self.p_plus)
 
 
-def _substeps(V: FunctionDescriptor, n: int, i0: int, i1: int, offset: float):
-    """Sub-step lengths and q = offset - V at sub-step start, middle and end for
+def _substeps(V: FunctionDescriptor, n: int, i0: int, i1: int, lam: float):
+    """Sub-step lengths and q = lam - V at sub-step start, middle and end for
     steps i0..i1-1 of the uniform n-step grid, shape (i1 - i0, m).  A piecewise V
     gets its breakpoints as nodes (zero-length sub-steps pad each step to m) and
     q at the midpoint, so no sub-step straddles a jump or reads the next segment."""
     if not V.is_piecewise:
-        q = offset - V(np.arange(2 * i0, 2 * i1 + 1) / (2 * n))
+        q = lam - V(np.arange(2 * i0, 2 * i1 + 1) / (2 * n))
         return np.full((i1 - i0, 1), 1.0 / n), q[:-1:2, None], q[1::2, None], q[2::2, None]
     breaks = np.array([a for a, _, _ in V.segments[1:]])
     step = np.floor(breaks * n).astype(int)
@@ -126,30 +127,20 @@ def _substeps(V: FunctionDescriptor, n: int, i0: int, i1: int, offset: float):
     t[:] = np.arange(i0 + 1, i1 + 1)[:, None] / n
     t[:, 0] = np.arange(i0, i1) / n
     t[step, 1 + rank] = breaks[keep]
-    q = offset - V(0.5 * (t[:, :-1] + t[:, 1:]))
+    q = lam - V(0.5 * (t[:, :-1] + t[:, 1:]))
     return np.diff(t, axis=1), q, q, q
 
 
-def _rk4(h, q0, qm, q1, c):
-    """Classical RK4 step matrices of y'' + c y' + q y = 0 (q = q0, qm, q1 at start,
-    middle, end) as the entries (s11, s12, s21, s22), expanded in h; a zero-length
-    step is I.  At c == 0.0 the damping terms are exact zeros and are left out."""
-    if c == 0.0:
-        return (
-            1.0 + h * h * (-(q0 + 2.0 * qm) / 6.0 + h * (h * q0 * qm / 24.0)),
-            h * (1.0 + h * (h * (-qm / 6.0))),
-            h * (-(q0 + 4.0 * qm + q1) / 6.0 + h * (h * ((q0 + q1) * qm / 12.0))),
-            1.0 + h * (h * ((-q1 - 2.0 * qm) / 6.0 + h * (h * (q1 * qm) / 24.0))),
-        )
-    cc = c * c
-    s11 = 1.0 + h * h * (
-        -(q0 + 2.0 * qm) / 6.0 + h * (c * (q0 + qm) / 12.0 + h * q0 * (qm - cc) / 24.0))
-    s12 = h * (1.0 + h * (-0.5 * c + h * ((cc - qm) / 6.0 + h * c * (2.0 * qm - cc) / 24.0)))
-    s21 = h * (-(q0 + 4.0 * qm + q1) / 6.0 + h * (c * (q0 + 2.0 * qm) / 6.0 + h * (
-        ((q0 + q1) * qm - cc * (q0 + qm)) / 12.0 + h * c * q0 * (cc - qm - q1) / 24.0)))
-    s22 = 1.0 + h * (-c + h * ((3.0 * cc - q1 - 2.0 * qm) / 6.0 + h * (
-        c * (q1 + 3.0 * qm - 2.0 * cc) / 12.0 + h * (cc * (cc - q1 - 2.0 * qm) + q1 * qm) / 24.0)))
-    return s11, s12, s21, s22
+def _rk4(h, q0, qm, q1):
+    """Classical RK4 step matrices of y'' + q y = 0 (q = q0, qm, q1 at start,
+    middle and end) as the entries (s11, s12, s21, s22), expanded in h; a
+    zero-length step is I."""
+    return (
+        1.0 + h * h * (-(q0 + 2.0 * qm) / 6.0 + h * (h * q0 * qm / 24.0)),
+        h * (1.0 + h * (h * (-qm / 6.0))),
+        h * (-(q0 + 4.0 * qm + q1) / 6.0 + h * (h * ((q0 + q1) * qm / 12.0))),
+        1.0 + h * (h * ((-q1 - 2.0 * qm) / 6.0 + h * (h * (q1 * qm) / 24.0))),
+    )
 
 
 def _product(s):
@@ -170,17 +161,17 @@ def _product(s):
     return tuple(x[0] for x in s)
 
 
-def _propagators(V, n, per_block, offset, damping):
-    """Entries of the RK4 propagators of y'' + damping * y' + (offset - V) y = 0
-    across each block of per_block steps of the n-step grid, four arrays of
-    n // per_block, built in chunks with the step axis first and the blocks
+def _propagators(V, n, per_block, lam):
+    """Entries of the RK4 propagators of -u'' + (V - lam) u = 0 across each
+    block of per_block steps of the n-step grid, four arrays of n // per_block,
+    built in chunks with the step axis first and the blocks
     of a chunk contiguous along the second."""
     out, per_chunk = [], max(1, _CHUNK // per_block)
     for j0 in range(0, n // per_block, per_chunk):
         j1 = min(n // per_block, j0 + per_chunk)
-        sub = _substeps(V, n, j0 * per_block, j1 * per_block, offset)
+        sub = _substeps(V, n, j0 * per_block, j1 * per_block, lam)
         steps = (np.ascontiguousarray(a.reshape(j1 - j0, -1).T) for a in sub)
-        out.append(_product(_rk4(*steps, damping)))
+        out.append(_product(_rk4(*steps)))
     return tuple(np.concatenate(x) for x in zip(*out))
 
 
@@ -199,8 +190,8 @@ def monodromy(V: FunctionDescriptor, lam: float, steps: int | None = None) -> Mo
     """Propagate the fundamental system of -u'' + (V - lambda) u = 0 from
     x = 0 to x = 1: the ordered product of the RK4 step matrices."""
     n = _step_count(V, lam, steps)
-    a11, a12, a21, a22 = map(float, _product(_propagators(V, n, math.gcd(n, _CHUNK), lam, 0.0)))
-    M = MonodromyMatrix(m11=a11, m12=a12, m21=a21, m22=a22, lam=lam)
+    a11, a12, a21, a22 = map(float, _product(_propagators(V, n, math.gcd(n, _CHUNK), lam)))
+    M = MonodromyMatrix(m11=a11, m12=a12, m21=a21, m22=a22)
     if not all(map(math.isfinite, (a11, a12, a21, a22))):
         raise IntegrationFailure(f"monodromy propagation diverged at lambda = {lam}")
     # Liouville: det must be 1; the float cancellation error in the 2x2
@@ -272,26 +263,30 @@ def bloch_modes(
     steps: int | None = None,
 ) -> BlochData:
     """Bloch modes of -d^2/dx^2 + V - lambda for lambda below the spectrum:
-    kappa from `floquet_exponent`, and the periodic factors normalized to
-    sup-norm 1 and positive."""
+    kappa from `floquet_exponent`, and the periodic factors, normalized to
+    sup-norm 1 and positive, from one undamped propagation over the sample
+    intervals, swept forward for p_minus and, through the adjugate blocks,
+    backward for p_plus."""
     M, rho_big, kappa = floquet_exponent(V, lam, steps)
 
     n_total = _step_count(V, lam, steps)
     n_sub = max(1, int(round(n_total / (samples - 1))))
     n_total = n_sub * (samples - 1)
+    s11, s12, s21, s22 = _propagators(V, n_total, n_sub, lam)
+    f = math.exp(-kappa / (samples - 1))
 
-    # mode decaying at -inf: eigenvector of M for the large multiplier; its
-    # factor obeys p'' + 2 kappa p' + (kappa^2 + lam - V) p = 0, contracting forward
+    # mode decaying at -inf: eigenvector of M for the large multiplier; the
+    # blocks scaled by f carry exp(-kappa x) (u, u') forward
     u0, du0 = _eigvec(M.m11, M.m12, M.m21, M.m22, rho_big)
-    blocks = _propagators(V, n_total, n_sub, kappa * kappa + lam, 2.0 * kappa)
-    pm, dpm = _sweep(blocks, u0, du0 - kappa * u0)
+    pm, dpm = _sweep(tuple(f * a for a in (s11, s12, s21, s22)), u0, du0)
+    dpm = dpm - kappa * pm
 
     # mode decaying at +inf: eigenvector of M^{-1} for the large multiplier
-    # (avoids cancellation in the small eigenvalue of M); its factor obeys the
-    # same equation in s = 1 - x, with V reflected: again contracting.
+    # (avoids cancellation in the small eigenvalue of M); the scaled adjugate
+    # blocks, last first, carry exp(kappa (x - 1)) (u, u') from x = 1 back to 0
     w0, dw0 = _eigvec(M.m22, -M.m12, -M.m21, M.m11, rho_big)
-    blocks = _propagators(V.reflected(), n_total, n_sub, kappa * kappa + lam, 2.0 * kappa)
-    pp, dpp = _sweep(blocks, w0, -(dw0 + kappa * w0))[:, ::-1] * [[1.0], [-1.0]]
+    pp, dpp = _sweep(tuple(f * a[::-1] for a in (s22, -s12, -s21, s11)), w0, dw0)[:, ::-1]
+    dpp = dpp + kappa * pp
 
     x = np.linspace(0.0, 1.0, samples)
     out = []
@@ -308,23 +303,15 @@ def bloch_modes(
         out.append((p * scale, dp * scale))
     (pm, dpm), (pp, dpp) = out
 
-    omega_samples = pp * dpm - dpp * pm + 2.0 * kappa * pp * pm
+    # omega is the first Wronskian sample; the rest must agree with it
+    bd = BlochData(lam=lam, kappa=kappa, discriminant=M.trace, omega=math.nan,
+                   p_plus=pp, p_minus=pm, dp_plus=dpp, dp_minus=dpm, x=x)
+    omega_samples = bd.wronskian_samples()
     omega = float(omega_samples[0])
     spread = float(np.ptp(omega_samples)) / abs(omega)
     if spread > 1e-6:
         raise IntegrationFailure(f"Wronskian varies by {spread:.2e} along the period")
-
-    return BlochData(
-        lam=lam,
-        kappa=kappa,
-        discriminant=M.trace,
-        omega=omega,
-        p_plus=pp,
-        p_minus=pm,
-        dp_plus=dpp,
-        dp_minus=dpm,
-        x=x,
-    )
+    return replace(bd, omega=omega)
 
 
 def asymptotic_diagnostics(V: FunctionDescriptor, lam: float, samples: int = DEFAULT_SAMPLES):

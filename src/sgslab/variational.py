@@ -444,29 +444,3 @@ def d_coefficients(
     d_minus = float(np.sum(weights * u_plus * gw)) / bd.omega
     d_plus = float(np.sum(weights * u_minus * gw)) / bd.omega
     return d_plus, d_minus
-
-
-def envelope_check(w: GridFunction, bd: bloch.BlochData, x0: float):
-    """Pointwise exponential-envelope bound with the periodic-factor
-    oscillation constant P = max of (sup p)/(inf p) over the two modes.
-
-    bd is usually taken at a slightly raised lambda (a slower decay rate than
-    the profile's own); the check allows a 5% multiplicative slack.  Returns
-    (holds, margin) where margin is the minimum of bound/value over the
-    tested nodes (+inf if the tail vanishes)."""
-    P = max(
-        float(bd.p_plus.max() / bd.p_plus.min()),
-        float(bd.p_minus.max() / bd.p_minus.min()),
-    )
-    x = w.grid.x
-    core = np.abs(x) <= x0
-    tail = ~core
-    peak = float(np.abs(w.values[core]).max())
-    bound = 1.05 * P * peak * np.exp(-bd.kappa * (np.abs(x[tail]) - x0))
-    vals = np.abs(w.values[tail])
-    nz = vals > 0.0
-    if not np.any(nz):
-        return True, math.inf
-    ratios = bound[nz] / vals[nz]
-    margin = float(ratios.min())
-    return margin >= 1.0, margin

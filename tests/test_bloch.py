@@ -99,6 +99,47 @@ def test_discriminant_monotone_below_bottom():
     assert all(a > b + 1e-8 for a, b in zip(ds, ds[1:]))
 
 
+@pytest.mark.parametrize("lam", [-1e3, -1e4, -1.2e5])
+def test_bloch_modes_constant_closed_form_deep(lam):
+    # for constant V, p_pm = 1 and omega = 2 kappa exactly; the scaled sweeps
+    # keep the factors at order one however large kappa is
+    bd = bloch.bloch_modes(V_CONST, lam)
+    assert np.max(np.abs(bd.p_plus - 1.0)) <= 1e-10
+    assert np.max(np.abs(bd.p_minus - 1.0)) <= 1e-10
+    assert abs(bd.omega / (2.0 * bd.kappa) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "V", [V_MATHIEU, V_KP, V_TWO, FunctionDescriptor(const=0.3, sin=((3, 1.1),))],
+    ids=["mathieu", "kronig-penney", "two-harmonic", "sine"],
+)
+def test_p_plus_is_p_minus_of_the_reflected_potential(V):
+    # the backward adjugate sweep against an independent forward sweep:
+    # u_plus(x) of V is u_minus(1 - x) of V reflected
+    bottom = bloch.spectrum_min(V)
+    for lam in (bottom - 1e-6, bottom - 1e-2, -2.0, -50.0, -1e3):
+        bd = bloch.bloch_modes(V, lam)
+        mirror = bloch.bloch_modes(V.reflected(), lam)
+        assert np.max(np.abs(bd.p_plus - mirror.p_minus[::-1])) <= 1e-12
+        assert np.max(np.abs(bd.dp_plus + mirror.dp_minus[::-1])) <= 1e-12
+
+
+def test_bloch_modes_propagates_the_potential_once_beyond_the_monodromy(monkeypatch):
+    V = V_TWO
+    assert V.reflected() != V
+    bloch.spectrum_min(V)
+    seen = []
+    propagators = bloch._propagators
+
+    def counted(W, *args):
+        seen.append(W)
+        return propagators(W, *args)
+
+    monkeypatch.setattr(bloch, "_propagators", counted)
+    bloch.bloch_modes(V, -3.0)
+    assert seen == [V, V]
+
+
 def test_step_halving_converged():
     k1 = bloch.bloch_modes(V_MATHIEU, -5.0, steps=4096).kappa
     k2 = bloch.bloch_modes(V_MATHIEU, -5.0, steps=8192).kappa
@@ -224,12 +265,11 @@ def test_step_matrix_products_match_scalar_loop():
     # agree to rounding, not bit for bit
     n, lam = 256, -5.0
     q = lam - np.asarray(V_MATHIEU(np.linspace(0.0, 1.0, 2 * n + 1)))
-    for damping in (0.0, 2.5):
-        steps = bloch._rk4(*bloch._substeps(V_MATHIEU, n, 0, n, lam), damping)
-        S = np.reshape(bloch._product(steps), (2, 2))
-        for y0, v0 in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8)):
-            ref = _rk4_loop(q, 1.0 / n, y0, v0, damping)
-            assert S @ [y0, v0] == pytest.approx(ref, rel=1e-13, abs=1e-13)
+    steps = bloch._rk4(*bloch._substeps(V_MATHIEU, n, 0, n, lam))
+    S = np.reshape(bloch._product(steps), (2, 2))
+    for y0, v0 in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8)):
+        ref = _rk4_loop(q, 1.0 / n, y0, v0, 0.0)
+        assert S @ [y0, v0] == pytest.approx(ref, rel=1e-13, abs=1e-13)
     M = bloch.monodromy(V_MATHIEU, lam, steps=n)
     ref = np.array([_rk4_loop(q, 1.0 / n, 1.0, 0.0, 0.0), _rk4_loop(q, 1.0 / n, 0.0, 1.0, 0.0)]).T
     assert [M.m11, M.m12, M.m21, M.m22] == pytest.approx(ref.ravel().tolist(), rel=1e-13)
@@ -311,7 +351,7 @@ def _rk4_general(h, q0, qm, q1, c):
 
 
 def test_undamped_step_matrices_are_the_general_formulas_at_zero_damping():
-    # the monodromy's steps leave out terms that are exact zeros at c = 0.0;
+    # the step matrices leave out terms that are exact zeros at c = 0.0;
     # inputs: smooth V, breakpoints with zero-length sub-steps, q = 0 at the
     # band edge of a constant V, and random q over ten decades
     rng = np.random.default_rng(3)
@@ -324,9 +364,8 @@ def test_undamped_step_matrices_are_the_general_formulas_at_zero_damping():
         (h, *q),
     ]
     for args in inputs:
-        for c in (0.0, 2.5):
-            for got, ref in zip(bloch._rk4(*args, c), _rk4_general(*args, c)):
-                assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+        for got, ref in zip(bloch._rk4(*args), _rk4_general(*args, 0.0)):
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
 
 
 _FLOQUET_OUTPUTS = """

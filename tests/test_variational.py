@@ -21,7 +21,6 @@ from sgslab.variational import (
     J_eval,
     SolverOptions,
     d_coefficients,
-    envelope_check,
     grad_J,
     minimize,
     nehari_project,
@@ -212,32 +211,6 @@ def test_tail_ratio_matches_d_minus(grid, solved_const):
     i8 = int(np.argmin(np.abs(grid.x + 8.0)))
     ratio = solved_const.state.values[i8] / math.exp(grid.x[i8])
     assert ratio == pytest.approx(d_minus, rel=0.02)
-
-
-def test_envelope_check_holds(grid, solved_const):
-    bd = oracle.constant_bloch_reference(1.0, 0.1)  # shifted spectral parameter
-    holds, margin = envelope_check(solved_const.state, bd, x0=1.0)
-    assert holds
-    assert margin >= 1.0
-
-
-def test_envelope_check_detects_violation(grid, solved_const):
-    bd = oracle.constant_bloch_reference(1.0, 0.1)
-    blown = solved_const.state.with_values(
-        solved_const.state.values * (1.0 + 10.0 * np.abs(grid.x))
-    )
-    holds, _ = envelope_check(blown, bd, x0=1.0)
-    assert not holds
-
-
-def test_envelope_check_zero_tail_sentinel(grid):
-    vals = np.where(np.abs(grid.x) <= 1.0, 1.0, 0.0)
-    vals[0] = vals[-1] = 0.0
-    w = GridFunction(grid=grid, values=vals)
-    bd = oracle.constant_bloch_reference(1.0, 0.0)
-    holds, margin = envelope_check(w, bd, x0=1.0)
-    assert holds
-    assert margin == math.inf
 
 
 @pytest.mark.parametrize(
