@@ -6,17 +6,17 @@ two Floquet solutions split into a decaying and a growing mode
 
     u_pm(x) = p_pm(x) exp(mp kappa x),   p_pm 1-periodic, positive.
 
-One fixed-step RK4 propagator of -u'' + (V - lambda) u = 0 serves the
-monodromy and the Bloch factors.  Each step of the linear ODE is a 2x2 matrix,
-built with numpy in chunks (a piecewise V gets its breakpoints as extra nodes)
-as four arrays of its entries, and multiplied pairwise in a fixed order with
-each 2x2 product written out elementwise: no BLAS call, so the bits of every
-result here do not depend on the BLAS kernel picked for the CPU.  The periodic
-factors come from one more undamped propagation, over the sample intervals:
-a sweep of the blocks scaled by exp(-kappa dx) carries exp(-kappa x) u_minus
-forward, and a sweep of their adjugates, scaled alike, carries
-exp(kappa (x - 1)) u_plus backward.  Each sweep runs the way its mode grows,
-so both stay in the range of the factors.  spectrum_min is memoized.
+One fixed-step propagator of -u'' + (V - lambda) u = 0 serves the monodromy
+and the Bloch factors: the fourth-order Magnus step, an exact 2x2 exponential
+from V at two Gauss points.  It is exact wherever V is constant (a piecewise V
+gets its breakpoints as nodes), so the step count follows V's harmonics, not
+lambda.  The steps are four arrays of entries, built in chunks from + and *
+alone and multiplied pairwise in a fixed order, each 2x2 product written out:
+neither the BLAS kernel nor numpy's SIMD target decides any bit here.  The
+periodic factors come from one more propagation, over the sample intervals:
+the blocks scaled by exp(-kappa dx) carry exp(-kappa x) u_minus forward, and
+their adjugates, scaled alike, carry exp(kappa (x - 1)) u_plus backward, each
+the way its mode grows, so both stay in range.  spectrum_min is memoized.
 
 floquet_exponent stops where kappa is known: spectrum gate, monodromy (its
 finiteness and Liouville det = 1 are checked on every call) and the
@@ -38,17 +38,25 @@ from scipy.optimize import brentq
 from .errors import BracketFailure, IntegrationFailure, LambdaInSpectrum, PositivityFailure
 from .media import FunctionDescriptor
 
-DEFAULT_STEPS = 4096
+DEFAULT_STEPS = 1024
 DEFAULT_SAMPLES = 1025
 _CHUNK = 4096   # steps per vectorized batch of step matrices
+_GAUSS = 0.5 + math.sqrt(3.0) / 6.0 * np.array([-1.0, 1.0])
+# Taylor coefficients of cosh mu and of sinh mu / mu in mu^2, highest first
+_COSH, _SINHC = ([1.0 / math.factorial(2 * j + i) for j in range(7, -1, -1)] for i in (0, 1))
+# past kappa ~ 709 the entries overflow; the caller's finiteness check turns
+# that into IntegrationFailure, so numpy need not warn first
+_OVERFLOW_IS_CHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
-def _step_count(V: FunctionDescriptor, lam: float, steps: int | None) -> int:
+def _step_count(V: FunctionDescriptor, steps: int | None) -> int:
     if steps is not None:
         return int(steps)
-    # keep kappa * h small so the per-step error of RK4 stays ~1e-14
-    stiffness = math.sqrt(abs(lam) + V.sup_norm() + 1.0)
-    return max(DEFAULT_STEPS, 256 * int(math.ceil(stiffness)))
+    # a Magnus step is exact for a constant q, so its error does not grow with |lambda|:
+    # about 0.1 (g h^2)^2 relative, g = sum of n |a_n| over the harmonics (|V'| <= 2 pi g;
+    # 0 for a piecewise V, whose breakpoints are nodes).  n = 1024 ceil(sqrt g) keeps it ~1e-13
+    g = sum(n * abs(a) for n, a in V.cos + V.sin)
+    return DEFAULT_STEPS * max(1, math.ceil(math.sqrt(g)))
 
 
 @dataclass(frozen=True)
@@ -94,11 +102,8 @@ class BlochData:
     def wronskian_samples(self) -> np.ndarray:
         """omega recomputed at every sample point; constant up to quadrature
         noise (the exponential factors cancel in the product)."""
-        return (
-            self.p_plus * self.dp_minus
-            - self.dp_plus * self.p_minus
-            + 2.0 * self.kappa * self.p_plus * self.p_minus
-        )
+        return (self.p_plus * self.dp_minus - self.dp_plus * self.p_minus
+                + 2.0 * self.kappa * self.p_plus * self.p_minus)
 
     def p_minus_at(self, x) -> np.ndarray:
         """Periodic interpolation of p_minus at arbitrary points."""
@@ -111,13 +116,13 @@ class BlochData:
 
 
 def _substeps(V: FunctionDescriptor, n: int, i0: int, i1: int, lam: float):
-    """Sub-step lengths and q = lam - V at sub-step start, middle and end for
-    steps i0..i1-1 of the uniform n-step grid, shape (i1 - i0, m).  A piecewise V
+    """Sub-step lengths and q = lam - V at the two Gauss points of each sub-step
+    for steps i0..i1-1 of the uniform n-step grid, shape (i1 - i0, m).  A piecewise V
     gets its breakpoints as nodes (zero-length sub-steps pad each step to m) and
-    q at the midpoint, so no sub-step straddles a jump or reads the next segment."""
+    one q, at the midpoint, so no sub-step straddles a jump or reads the next segment."""
     if not V.is_piecewise:
-        q = lam - V(np.arange(2 * i0, 2 * i1 + 1) / (2 * n))
-        return np.full((i1 - i0, 1), 1.0 / n), q[:-1:2, None], q[1::2, None], q[2::2, None]
+        q = lam - V((np.arange(i0, i1)[:, None] + _GAUSS) / n)
+        return np.full((i1 - i0, 1), 1.0 / n), q[:, :1], q[:, 1:]
     breaks = np.array([a for a, _, _ in V.segments[1:]])
     step = np.floor(breaks * n).astype(int)
     keep = (breaks > step / n) & (step >= i0) & (step < i1)
@@ -128,41 +133,46 @@ def _substeps(V: FunctionDescriptor, n: int, i0: int, i1: int, lam: float):
     t[:, 0] = np.arange(i0, i1) / n
     t[step, 1 + rank] = breaks[keep]
     q = lam - V(0.5 * (t[:, :-1] + t[:, 1:]))
-    return np.diff(t, axis=1), q, q, q
+    return np.diff(t, axis=1), q, q
 
 
-def _rk4(h, q0, qm, q1):
-    """Classical RK4 step matrices of y'' + q y = 0 (q = q0, qm, q1 at start,
-    middle and end) as the entries (s11, s12, s21, s22), expanded in h; a
-    zero-length step is I."""
-    return (
-        1.0 + h * h * (-(q0 + 2.0 * qm) / 6.0 + h * (h * q0 * qm / 24.0)),
-        h * (1.0 + h * (h * (-qm / 6.0))),
-        h * (-(q0 + 4.0 * qm + q1) / 6.0 + h * (h * ((q0 + q1) * qm / 12.0))),
-        1.0 + h * (h * ((-q1 - 2.0 * qm) / 6.0 + h * (h * (q1 * qm) / 24.0))),
-    )
+@_OVERFLOW_IS_CHECKED
+def _magnus(h, q1, q2):
+    """Fourth-order Magnus steps of y'' + q y = 0 from q = q1, q2 at two Gauss points:
+    entries (s11, s12, s21, s22) of exp(Omega) = C I + S Omega, Omega = [[a, h], [c, -a]],
+    mu^2 = a^2 + h c, C = cosh mu, S = sinh mu / mu; exact for a constant q, I for h = 0."""
+    a, c = math.sqrt(3.0) / 12.0 * h * h * (q2 - q1), -0.5 * h * (q1 + q2)
+    x = a * a + h * c
+    # C and S from + and * alone (numpy's cosh, sinh and exp round differently
+    # per SIMD target): Taylor series at x / 4^k, below 1/4, doubled back k times
+    k = np.maximum(np.frexp(x)[1] + 3, 0) // 2 * (x != 0.0)
+    y = np.ldexp(x, -2 * k)
+    C, S = _COSH[0], _SINHC[0]
+    for cc, sc in zip(_COSH[1:], _SINHC[1:]):
+        C, S = C * y + cc, S * y + sc
+    for j in range(int(k.max(initial=0))):   # k > j falls with j: y of the rest unused
+        C, S, y = np.where(k > j, 1.0 + 2.0 * y * S * S, C), np.where(k > j, S * C, S), 4.0 * y
+    return C + S * a, S * h, S * c, C - S * a
 
 
+@_OVERFLOW_IS_CHECKED
 def _product(s):
     """Entries of S[k-1] ... S[0] for the matrices S[i] = [[s11, s12], [s21, s22]][i]
     along axis 0, multiplied pairwise in a fixed order, (1, 0), (3, 2), ..., with
     an odd leftover carried last.  Each 2x2 product is written out elementwise,
     so no BLAS kernel decides its rounding."""
-    # past kappa ~ 709 the entries overflow; the caller's finiteness check
-    # turns that into IntegrationFailure, so numpy need not warn first
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(s[0]) > 1:
-            k = len(s[0]) // 2 * 2
-            a11, a12, a21, a22 = (x[1:k:2] for x in s)
-            b11, b12, b21, b22 = (x[0:k:2] for x in s)
-            c = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-                 a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-            s = c if k == len(s[0]) else tuple(np.concatenate([y, x[k:]]) for y, x in zip(c, s))
+    while len(s[0]) > 1:
+        k = len(s[0]) // 2 * 2
+        a11, a12, a21, a22 = (x[1:k:2] for x in s)
+        b11, b12, b21, b22 = (x[0:k:2] for x in s)
+        c = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+        s = c if k == len(s[0]) else tuple(np.concatenate([y, x[k:]]) for y, x in zip(c, s))
     return tuple(x[0] for x in s)
 
 
 def _propagators(V, n, per_block, lam):
-    """Entries of the RK4 propagators of -u'' + (V - lam) u = 0 across each
+    """Entries of the Magnus propagators of -u'' + (V - lam) u = 0 across each
     block of per_block steps of the n-step grid, four arrays of n // per_block,
     built in chunks with the step axis first and the blocks
     of a chunk contiguous along the second."""
@@ -171,7 +181,7 @@ def _propagators(V, n, per_block, lam):
         j1 = min(n // per_block, j0 + per_chunk)
         sub = _substeps(V, n, j0 * per_block, j1 * per_block, lam)
         steps = (np.ascontiguousarray(a.reshape(j1 - j0, -1).T) for a in sub)
-        out.append(_product(_rk4(*steps)))
+        out.append(_product(_magnus(*steps)))
     return tuple(np.concatenate(x) for x in zip(*out))
 
 
@@ -188,20 +198,17 @@ def _sweep(s, y, v):
 
 def monodromy(V: FunctionDescriptor, lam: float, steps: int | None = None) -> MonodromyMatrix:
     """Propagate the fundamental system of -u'' + (V - lambda) u = 0 from
-    x = 0 to x = 1: the ordered product of the RK4 step matrices."""
-    n = _step_count(V, lam, steps)
-    a11, a12, a21, a22 = map(float, _product(_propagators(V, n, math.gcd(n, _CHUNK), lam)))
-    M = MonodromyMatrix(m11=a11, m12=a12, m21=a21, m22=a22)
-    if not all(map(math.isfinite, (a11, a12, a21, a22))):
+    x = 0 to x = 1: the ordered product of the Magnus step matrices."""
+    n = _step_count(V, steps)
+    M = MonodromyMatrix(*map(float, _product(_propagators(V, n, math.gcd(n, _CHUNK), lam))))
+    if not all(map(math.isfinite, (M.m11, M.m12, M.m21, M.m22))):
         raise IntegrationFailure(f"monodromy propagation diverged at lambda = {lam}")
     # Liouville: det must be 1; the float cancellation error in the 2x2
     # determinant scales with the square of the entry magnitude.  Past about
     # 1e154 (kappa ~ 355) the products overflow and det is nan: no check holds
     scale = max(1.0, M.norm)
     if not abs(M.det - 1.0) <= 1e-8 * scale * scale:
-        raise IntegrationFailure(
-            f"monodromy determinant {M.det} deviates from 1 at lambda = {lam}"
-        )
+        raise IntegrationFailure(f"monodromy determinant {M.det} deviates from 1 at lambda = {lam}")
     return M
 
 
@@ -223,9 +230,7 @@ def spectrum_min(V: FunctionDescriptor) -> float:
         raise BracketFailure("discriminant not above 2 at the lower search bound")
     cross = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
     if not len(cross):
-        raise BracketFailure(
-            f"no discriminant sign change in [{lo}, {hi}] for the given potential"
-        )
+        raise BracketFailure(f"no discriminant sign change in [{lo}, {hi}] for the given potential")
     return float(brentq(f, grid[cross[0]], grid[cross[0] + 1], xtol=1e-10))
 
 
@@ -256,20 +261,16 @@ def floquet_exponent(V: FunctionDescriptor, lam: float, steps: int | None = None
     return M, rho, math.log(rho)
 
 
-def bloch_modes(
-    V: FunctionDescriptor,
-    lam: float,
-    samples: int = DEFAULT_SAMPLES,
-    steps: int | None = None,
-) -> BlochData:
+def bloch_modes(V: FunctionDescriptor, lam: float, samples: int = DEFAULT_SAMPLES,
+                steps: int | None = None) -> BlochData:
     """Bloch modes of -d^2/dx^2 + V - lambda for lambda below the spectrum:
     kappa from `floquet_exponent`, and the periodic factors, normalized to
-    sup-norm 1 and positive, from one undamped propagation over the sample
+    sup-norm 1 and positive, from one more propagation over the sample
     intervals, swept forward for p_minus and, through the adjugate blocks,
     backward for p_plus."""
     M, rho_big, kappa = floquet_exponent(V, lam, steps)
 
-    n_total = _step_count(V, lam, steps)
+    n_total = _step_count(V, steps)
     n_sub = max(1, int(round(n_total / (samples - 1))))
     n_total = n_sub * (samples - 1)
     s11, s12, s21, s22 = _propagators(V, n_total, n_sub, lam)
@@ -297,8 +298,7 @@ def bloch_modes(
             p, dp = -p, -dp
         if p.min() <= 0.0:
             raise PositivityFailure(
-                f"{label} changes sign; lambda may not be below the band bottom"
-            )
+                f"{label} changes sign; lambda may not be below the band bottom")
         scale = 1.0 / p.max()
         out.append((p * scale, dp * scale))
     (pm, dpm), (pp, dpp) = out

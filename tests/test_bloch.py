@@ -197,8 +197,9 @@ def test_p_representation_detects_corruption():
 
 
 def test_monodromy_offgrid_breakpoint_exact():
-    # Kronig-Penney cell with its jump at 0.3, off the 1/4096 step grid: the
-    # monodromy is the product of the exact segment transfer matrices
+    # Kronig-Penney cell with its jump at 0.3, off the 1/1024 step grid: every
+    # sub-step is the exact transfer matrix of its segment, so the monodromy is
+    # their product at any lambda
     V = FunctionDescriptor(segments=((0.0, 0.3, -1.0), (0.3, 1.0, 3.0)))
 
     def exact(lam):
@@ -209,25 +210,37 @@ def test_monodromy_offgrid_breakpoint_exact():
             M = np.array([[c, (s / k).real], [(k * s).real, c]]) @ M
         return M
 
-    M = bloch.monodromy(V, -1.5)
-    E = exact(-1.5)
-    assert M.trace == pytest.approx(np.trace(E), rel=1e-12)
-    assert [M.m11, M.m12, M.m21, M.m22] == pytest.approx(E.ravel().tolist(), rel=1e-11)
+    for lam in (-1.5, -100.0, -1e4):
+        M = bloch.monodromy(V, lam)
+        E = exact(lam)
+        assert M.trace == pytest.approx(np.trace(E), rel=1e-12)
+        assert [M.m11, M.m12, M.m21, M.m22] == pytest.approx(E.ravel().tolist(), rel=1e-12)
     bottom = brentq(lambda lam: np.trace(exact(lam)) - 2.0, 1.0, 2.5, xtol=1e-13)
     assert bloch.spectrum_min(V) == pytest.approx(bottom, abs=1e-9)
 
 
 def test_monodromy_deep_gap_constant_closed_form():
-    # lambda = -1e4 takes 25856 steps, more than one chunk of step matrices
+    # a Magnus step is exact for a constant V, so deep lambda needs no more
+    # steps: only rounding separates the monodromy from its closed form
     V, lam = V_CONST, -1e4
-    assert bloch._step_count(V, lam, None) == 25856
     M = bloch.monodromy(V, lam)
     k = math.sqrt(1.0 - lam)
-    assert M.trace == pytest.approx(2.0 * math.cosh(k), rel=1e-9)
-    assert M.m12 == pytest.approx(math.sinh(k) / k, rel=1e-9)
-    assert M.m21 == pytest.approx(k * math.sinh(k), rel=1e-9)
+    assert M.trace == pytest.approx(2.0 * math.cosh(k), rel=1e-12)
+    assert M.m12 == pytest.approx(math.sinh(k) / k, rel=1e-12)
+    assert M.m21 == pytest.approx(k * math.sinh(k), rel=1e-12)
     # det = 1 up to the cancellation error of the entries' magnitude
     assert abs(M.det - 1.0) <= 1e-12 * M.norm**2
+
+
+def test_discriminant_accuracy_does_not_depend_on_lambda():
+    # the default step count is within 1e-12 of sixteen times as many steps,
+    # from half a unit below the band edge to lambda = -1e4
+    for V in (V_MATHIEU, FunctionDescriptor(const=1.0, cos=((1, -0.3), (3, 0.5))),
+              FunctionDescriptor(const=0.3, sin=((3, 1.1),))):
+        bottom, n = bloch.spectrum_min(V), bloch._step_count(V, None)
+        for lam in (bottom - 0.5, -5.0, -100.0, -1e3, -1e4):
+            ref = bloch.discriminant(V, lam, steps=16 * n)
+            assert bloch.discriminant(V, lam) == pytest.approx(ref, rel=1e-12)
 
 
 def test_spectrum_min_memoized_across_bloch_modes():
@@ -244,34 +257,31 @@ def test_spectrum_min_memoized_across_bloch_modes():
         assert np.array_equal(bd.p_minus, first.p_minus)
 
 
-def _rk4_loop(q, h, y, v, damping):
-    """Scalar RK4 of y'' + damping * y' + q(x) y = 0, with q at half steps."""
-    for i in range((len(q) - 1) // 2):
-        q0, qm, q1 = q[2 * i], q[2 * i + 1], q[2 * i + 2]
-        k1y, k1v = v, -damping * v - q0 * y
-        y2, v2 = y + 0.5 * h * k1y, v + 0.5 * h * k1v
-        k2y, k2v = v2, -damping * v2 - qm * y2
-        y3, v3 = y + 0.5 * h * k2y, v + 0.5 * h * k2v
-        k3y, k3v = v3, -damping * v3 - qm * y3
-        y4, v4 = y + h * k3y, v + h * k3v
-        k4y, k4v = v4, -damping * v4 - q1 * y4
-        y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+def _magnus_loop(V, lam, n, y, v):
+    """Scalar fourth-order Magnus steps of y'' + (lam - V) y = 0 over n uniform
+    steps, q = lam - V at the two Gauss points of each, with math's cosh and
+    sinh; for lambda below V, where mu^2 > 0."""
+    h, r = 1.0 / n, math.sqrt(3.0) / 6.0
+    for i in range(n):
+        q1, q2 = lam - V((i + 0.5 - r) / n), lam - V((i + 0.5 + r) / n)
+        a, c = math.sqrt(3.0) / 12.0 * h * h * (q2 - q1), -0.5 * h * (q1 + q2)
+        mu = math.sqrt(a * a + h * c)
+        C, S = math.cosh(mu), math.sinh(mu) / mu
+        y, v = (C + S * a) * y + S * h * v, S * c * y + (C - S * a) * v
     return y, v
 
 
 def test_step_matrix_products_match_scalar_loop():
-    # the step-matrix propagator regroups the RK4 arithmetic, so the two
-    # agree to rounding, not bit for bit
+    # the step-matrix propagator sums C and S as series and multiplies over a
+    # tree, so the two agree to rounding, not bit for bit
     n, lam = 256, -5.0
-    q = lam - np.asarray(V_MATHIEU(np.linspace(0.0, 1.0, 2 * n + 1)))
-    steps = bloch._rk4(*bloch._substeps(V_MATHIEU, n, 0, n, lam))
-    S = np.reshape(bloch._product(steps), (2, 2))
+    S = np.reshape(bloch._product(bloch._magnus(*bloch._substeps(V_MATHIEU, n, 0, n, lam))), (2, 2))
     for y0, v0 in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8)):
-        ref = _rk4_loop(q, 1.0 / n, y0, v0, 0.0)
+        ref = _magnus_loop(V_MATHIEU, lam, n, y0, v0)
         assert S @ [y0, v0] == pytest.approx(ref, rel=1e-13, abs=1e-13)
     M = bloch.monodromy(V_MATHIEU, lam, steps=n)
-    ref = np.array([_rk4_loop(q, 1.0 / n, 1.0, 0.0, 0.0), _rk4_loop(q, 1.0 / n, 0.0, 1.0, 0.0)]).T
+    ref = np.array([_magnus_loop(V_MATHIEU, lam, n, 1.0, 0.0),
+                    _magnus_loop(V_MATHIEU, lam, n, 0.0, 1.0)]).T
     assert [M.m11, M.m12, M.m21, M.m22] == pytest.approx(ref.ravel().tolist(), rel=1e-13)
 
 
@@ -325,7 +335,7 @@ def _product_tree(mats):
 
 
 def test_product_matches_the_pairwise_float_tree_bit_for_bit():
-    # near-identity factors, like RK4 steps, keep the long products finite
+    # near-identity factors, like Magnus steps, keep the long products finite
     rng = np.random.default_rng(7)
     for shape in ((1,), (2,), (17,), (4096,), (4, 1024), (17, 3), (1, 5)):
         eye = np.eye(2).reshape(4, *[1] * len(shape))
@@ -337,35 +347,26 @@ def test_product_matches_the_pairwise_float_tree_bit_for_bit():
             assert got[:, j].tolist() == list(ref)
 
 
-def _rk4_general(h, q0, qm, q1, c):
-    """The step-matrix entries with every damping term, as the kernel writes them."""
-    cc = c * c
-    s11 = 1.0 + h * h * (
-        -(q0 + 2.0 * qm) / 6.0 + h * (c * (q0 + qm) / 12.0 + h * q0 * (qm - cc) / 24.0))
-    s12 = h * (1.0 + h * (-0.5 * c + h * ((cc - qm) / 6.0 + h * c * (2.0 * qm - cc) / 24.0)))
-    s21 = h * (-(q0 + 4.0 * qm + q1) / 6.0 + h * (c * (q0 + 2.0 * qm) / 6.0 + h * (
-        ((q0 + q1) * qm - cc * (q0 + qm)) / 12.0 + h * c * q0 * (cc - qm - q1) / 24.0)))
-    s22 = 1.0 + h * (-c + h * ((3.0 * cc - q1 - 2.0 * qm) / 6.0 + h * (
-        c * (q1 + 3.0 * qm - 2.0 * cc) / 12.0 + h * (cc * (cc - q1 - 2.0 * qm) + q1 * qm) / 24.0)))
-    return s11, s12, s21, s22
-
-
-def test_undamped_step_matrices_are_the_general_formulas_at_zero_damping():
-    # the step matrices leave out terms that are exact zeros at c = 0.0;
-    # inputs: smooth V, breakpoints with zero-length sub-steps, q = 0 at the
-    # band edge of a constant V, and random q over ten decades
+def test_step_is_exact_for_a_constant_q():
+    # q1 = q2 = q: the step is the exact exponential, cosh/sinh below q = 0 and
+    # cos/sin above, over thirteen decades of q h^2 (past 1/4 doubled back from a
+    # scaled series); a zero-length step is exactly I
     rng = np.random.default_rng(3)
-    h = rng.choice([0.0, 1e-4, 1.0 / 4096, 0.3], size=4000)
-    q = rng.normal(size=(3, 4000)) * rng.choice([1e-3, 1.0, 1e5], size=(3, 4000))
-    inputs = [
-        bloch._substeps(V_MATHIEU, 4096, 0, 4096, -2.0),
-        bloch._substeps(V_KP, 1024, 0, 1024, -1.5),
-        bloch._substeps(V_CONST, 64, 0, 64, 1.0),
-        (h, *q),
-    ]
-    for args in inputs:
-        for got, ref in zip(bloch._rk4(*args), _rk4_general(*args, 0.0)):
-            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+    h = rng.choice([1e-4, 1.0 / 1024, 0.05, 0.3], size=2000)
+    q = rng.choice([-1.0, 1.0], size=2000) * 10.0 ** rng.uniform(-3.0, 3.0, size=2000)
+    keep = (q < 0.0) | (q * h * h < 1.0)      # cos must not pass through zero
+    h, q = h[keep], q[keep]
+    s11, s12, s21, s22 = bloch._magnus(h, q, q)
+    for i in range(len(h)):
+        k = math.sqrt(abs(q[i]))
+        if q[i] < 0.0:
+            ch, sh, sign = math.cosh(k * h[i]), math.sinh(k * h[i]), 1.0
+        else:
+            ch, sh, sign = math.cos(k * h[i]), math.sin(k * h[i]), -1.0
+        ref = (ch, sh / k, sign * k * sh, ch)
+        assert (s11[i], s12[i], s21[i], s22[i]) == pytest.approx(ref, rel=1e-14)
+    eye = bloch._magnus(np.zeros(3), np.array([-2.0, 0.0, 5.0]), np.array([-2.0, 0.0, 5.0]))
+    assert [x.tolist() for x in eye] == [[1.0] * 3, [0.0] * 3, [0.0] * 3, [1.0] * 3]
 
 
 _FLOQUET_OUTPUTS = """
@@ -388,19 +389,27 @@ print(json.dumps(criteria.dislocation_report(mathieu, F(const=1.0), 0.25, -2.0).
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels only")
+                    reason="OPENBLAS_CORETYPE and the SIMD targets named are x86-64 only")
 def test_floquet_bits_do_not_follow_the_blas_kernel():
     # a 2x2 product handed to BLAS rounds with FMA under the Haswell and
-    # SkylakeX kernels and without it under Prescott; the Floquet layer must
-    # give the same bits under both
-    outputs = []
-    for coretype in (None, "Prescott"):
+    # SkylakeX kernels and without it under Prescott, and numpy's cosh, sinh
+    # and exp round differently under its AVX-512 and AVX2 loops; the Floquet
+    # layer must give the same bits under each.  Disabling a target the CPU
+    # lacks makes numpy warn on stderr, so only stdout is compared
+    children = []
+    for var, value in ((None, None), ("OPENBLAS_CORETYPE", "Prescott"),
+                       ("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")):
         env = dict(os.environ, PYTHONPATH=str(Path(sgslab.__file__).parents[1]))
         env.pop("OPENBLAS_CORETYPE", None)
-        if coretype:
-            env["OPENBLAS_CORETYPE"] = coretype
-        run = subprocess.run([sys.executable, "-c", _FLOQUET_OUTPUTS], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
-    assert outputs[0] == outputs[1]
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if var:
+            env[var] = value
+        children.append(subprocess.Popen([sys.executable, "-c", _FLOQUET_OUTPUTS], env=env,
+                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                         text=True))
+    outputs = []
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -1,14 +1,16 @@
 """Property tests of the descriptor algebra and of the non-existence
 certificate, on random trigonometric (up to 3 harmonics) and piecewise
-(up to 4 segments) descriptors, and of the mirror symmetry of the
-dislocation criteria."""
+(up to 4 segments) descriptors, of the mirror symmetry of the
+dislocation criteria, and of the Floquet data below the spectrum."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgslab import criteria
+from sgslab import bloch, criteria
 from sgslab.criteria import CERT_TOL, Verdict
 from sgslab.media import _BREAK_TOL, FunctionDescriptor, PeriodicMedium, compose_interface
 
@@ -19,12 +21,18 @@ DENSE = np.linspace(0.0, 1.0, 10001)
 NEAR_BREAK = 1e-9
 
 amplitudes = st.floats(-1.0, 1.0, allow_nan=False)
-trigonometric = st.builds(
-    lambda const, terms: FunctionDescriptor(
+
+
+def trig(const, terms) -> FunctionDescriptor:
+    return FunctionDescriptor(
         const=const,
         cos=tuple((n, a) for kind, n, a in terms if kind == "cos"),
         sin=tuple((n, a) for kind, n, a in terms if kind == "sin"),
-    ),
+    )
+
+
+trigonometric = st.builds(
+    trig,
     st.floats(-2.0, 2.0, allow_nan=False),
     # frequency 2048 puts every extremum between the points of a 2048-sample grid
     st.lists(st.tuples(st.sampled_from(["cos", "sin"]),
@@ -208,3 +216,29 @@ def test_dislocation_report_mirror_swaps_orientations(V0, tau, depth):
     assert b["dis_cond1"] == pytest.approx(a["dis_cond1_prime"], rel=1e-12)
     assert b["dis_cond1_prime"] == pytest.approx(a["dis_cond1"], rel=1e-12)
     assert mir.verdict is rep.verdict
+
+
+harmonics = st.builds(
+    trig,
+    st.floats(-2.0, 2.0),
+    st.lists(st.tuples(st.sampled_from(["cos", "sin"]), st.integers(1, 6), amplitudes),
+             min_size=1, max_size=3),
+)
+
+
+# each example costs a spectrum bottom, so half the examples
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(harmonics, st.floats(-3.0, 4.0))
+def test_floquet_data_below_the_spectrum(V, depth):
+    # Liouville, the comparison bounds sqrt(inf V - lambda) <= kappa <=
+    # sqrt(sup V - lambda) (the lower one void above inf V), and the positivity
+    # and Wronskian checks of p_pm, from just below the band edge to lambda ~ -1e4.
+    # kappa = log rho takes the rounding of the trace, ~1e-13, divided by
+    # 2 sinh kappa: an absolute slack of 1e-10 covers kappa down to 1e-3
+    lam = bloch.spectrum_min(V) - 10.0**depth
+    M, _, kappa = bloch.floquet_exponent(V, lam)
+    assert abs(M.det - 1.0) <= 1e-12 * M.norm**2
+    lo, hi = math.sqrt(max(0.0, V.inf_bound() - lam)), math.sqrt(V.sup_bound() - lam)
+    assert lo - 1e-10 <= kappa <= hi + 1e-10
+    bd = bloch.bloch_modes(V, lam)
+    assert bd.kappa == kappa and bd.p_plus.min() > 0.0 and bd.p_minus.min() > 0.0
