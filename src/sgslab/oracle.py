@@ -7,13 +7,16 @@ library against something it does not share internals with.
 `ansatz_upper_bound` is the exception, on purpose: it bounds the same
 discrete minimum the solver computes, so it builds one `_Discretization` per
 scan and scores its trial profiles through the `scale` and `energy` methods
-that `nehari_project` and `J_eval` use.
+that `nehari_project` and `J_eval` use, one of each per distinct (width,
+centre).  The projection removes the amplitude, which only decides whether
+a trial can be projected at all.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +113,12 @@ def verify_p_representation(bd: BlochData, V: FunctionDescriptor) -> float:
 
 @dataclass(frozen=True)
 class AnsatzFamily:
-    """Cartesian grid of sech-shaped trial profiles."""
+    """Cartesian grid of sech-shaped trial profiles a sech(w (x - c))^{2/(p-1)}.
+
+    The Nehari projection maps every amplitude a != 0 to the same state up to
+    sign, so a scan scores each distinct (width, centre) once; the amplitude
+    axis only decides whether any trial can be projected (a = 0 cannot).
+    """
 
     amplitude_range: tuple[float, float]
     width_range: tuple[float, float]
@@ -118,6 +126,8 @@ class AnsatzFamily:
     resolution: int = 9
 
     def __post_init__(self):
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, numbers.Integral):
+            raise ValueError(f"resolution must be an integer, got {self.resolution!r}")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
         if not np.all(np.isfinite([self.amplitude_range, self.width_range, self.center_range])):
@@ -134,19 +144,25 @@ def ansatz_upper_bound(m, params: ProblemParams, fam: AnsatzFamily, grid: Grid) 
     """Brute-force upper bound on the constrained minimum: project every trial
     profile onto the constraint set and take the least energy.
 
-    Costs one discretization per scan, then one `scale` and one `energy` per
-    distinct trial: the values `nehari_project` and `J_eval` give.  A range
-    with lo == hi is one value, not `resolution` copies of it.  Trials whose
-    nonlinear mass or quadratic form is nonpositive are skipped;
-    NonprojectableState is raised if all are.  The scan order is fixed, so
-    the reduction is deterministic.
+    quad(a u) = a^2 quad(u) and nl(a u) = |a|^{p+1} nl(u), so the projection
+    of a u is +-(that of u) for every a != 0, and J is even.  The scan
+    therefore costs one discretization, then one `scale` and one `energy` per
+    distinct (width, centre) on the unit-amplitude trial: the values
+    `nehari_project` and `J_eval` give.  A range with lo == hi is one value,
+    not `resolution` copies of it.  Trials whose nonlinear mass or quadratic
+    form is nonpositive are skipped; NonprojectableState is raised if all
+    are, or if every amplitude is 0.  The scan order is fixed, so the
+    reduction is deterministic.
     """
     op = _Discretization.of(m, params, grid)
+    amps, widths, centers = fam.axes()
+    # a zero trial has no projection, whatever its shape
+    shapes = itertools.product(widths, centers) if np.any(amps) else ()
     expo = 2.0 / (params.p - 1.0)
     best = math.inf
     x = grid.x
-    for a, wdt, ctr in itertools.product(*fam.axes()):
-        u = a * np.cosh(wdt * (x - ctr)) ** (-expo)
+    for wdt, ctr in shapes:
+        u = np.cosh(wdt * (x - ctr)) ** (-expo)
         try:
             s = op.scale(u[1:-1])[0]
         except NonprojectableState:

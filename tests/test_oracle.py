@@ -1,5 +1,6 @@
 """Closed-form and brute-force reference implementations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from sgslab import bloch, oracle
 from sgslab.errors import LambdaInSpectrum, NonprojectableState
 from sgslab.media import FunctionDescriptor, PeriodicMedium, ProblemParams, compose_interface
-from sgslab.variational import Grid, GridFunction, J_eval, grad_J, nehari_project
+from sgslab.variational import Grid, GridFunction, J_eval, _Discretization, grad_J, nehari_project
 
 P3 = ProblemParams(p=3.0, lam=0.0)
 CONST_MEDIUM = PeriodicMedium(FunctionDescriptor(const=1.0), FunctionDescriptor(const=1.0))
@@ -142,7 +143,39 @@ def test_ansatz_bound_equals_projected_scan_exactly(m, fam):
     grid = Grid.from_extent(15.0, 0.02)
     ref, skipped = _projected_scan(m, fam, grid)
     assert (skipped > 0) == (m is NEG_GAMMA_INTERFACE)
-    assert oracle.ansatz_upper_bound(m, P3, fam, grid) == ref
+    bound = oracle.ansatz_upper_bound(m, P3, fam, grid)
+    # the scan scores unit-amplitude trials only, so it meets the full
+    # family's minimum over amplitude copies up to rounding
+    assert bound == pytest.approx(ref, rel=1e-12)
+    unit = dataclasses.replace(fam, amplitude_range=(1.0, 1.0))
+    assert bound == oracle.ansatz_upper_bound(m, P3, unit, grid)
+    assert bound == _projected_scan(m, unit, grid)[0]
+
+
+def test_ansatz_bound_is_even_in_the_amplitude():
+    # amplitudes -1, 0, 1: the zero trial is skipped, -1 projects to -(1's state)
+    grid = Grid.from_extent(15.0, 0.02)
+    fam = oracle.AnsatzFamily((-1.0, 1.0), (0.8, 1.2), (-1.0, 1.0), 3)
+    unit = dataclasses.replace(fam, amplitude_range=(1.0, 1.0))
+    assert oracle.ansatz_upper_bound(DRIFT_INTERFACE, P3, fam, grid) == \
+        oracle.ansatz_upper_bound(DRIFT_INTERFACE, P3, unit, grid)
+
+
+def test_ansatz_bound_rejects_zero_amplitude():
+    grid = Grid.from_extent(15.0, 0.02)
+    fam = oracle.AnsatzFamily((0.0, 0.0), (0.8, 1.2), (-1.0, 1.0), 3)
+    with pytest.raises(NonprojectableState, match="AnsatzFamily"):
+        oracle.ansatz_upper_bound(DRIFT_INTERFACE, P3, fam, grid)
+
+
+def test_ansatz_bound_projects_each_shape_once(monkeypatch):
+    calls = []
+    scale = _Discretization.scale
+    monkeypatch.setattr(_Discretization, "scale", lambda self, v: calls.append(1) or scale(self, v))
+    grid = Grid.from_extent(15.0, 0.02)
+    fam = oracle.AnsatzFamily((0.8, 1.2), (0.8, 1.2), (2.0, 2.0), 7)
+    oracle.ansatz_upper_bound(DRIFT_INTERFACE, P3, fam, grid)
+    assert len(calls) == 7
 
 
 def test_ansatz_axes_degenerate_range_is_one_value():
@@ -157,6 +190,8 @@ def test_ansatz_axes_degenerate_range_is_one_value():
     {"resolution": 0},
     {"center_range": (0.0, math.inf)},
     {"amplitude_range": (math.nan, 1.0)},
+    {"resolution": 2.5},
+    {"resolution": True},
 ])
 def test_ansatz_family_rejects_bad_input(kwargs):
     args = {"amplitude_range": (1.0, 1.2), "width_range": (1.0, 1.0), "center_range": (0.0, 0.0)}
