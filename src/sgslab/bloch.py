@@ -314,11 +314,11 @@ def bloch_modes(V: FunctionDescriptor, lam: float, samples: int = DEFAULT_SAMPLE
     return replace(bd, omega=omega)
 
 
-def asymptotic_diagnostics(V: FunctionDescriptor, lam: float, samples: int = DEFAULT_SAMPLES):
+def asymptotic_diagnostics(V: FunctionDescriptor, lam: float):
     """The three quantities controlled in the deep-gap limit: the gap between
     kappa and sqrt|lambda|, the scaled gap minus half the mean of V, and the
     uniform distance of p_minus from 1."""
-    bd = bloch_modes(V, lam, samples=samples)
+    bd = bloch_modes(V, lam)
     sl = math.sqrt(abs(lam))
     kappa_gap = bd.kappa - sl
     scaled_gap_error = sl * kappa_gap - 0.5 * V.mean()

@@ -2,18 +2,18 @@
 
 Configs are JSON files describing one of six experiment kinds; results are
 written as report.json plus CSV curve files (profiles.csv for solved states,
-bands.csv for spectral scans).  Runs are deterministic: the same config and
-build produce byte-identical reports apart from the timestamp field.  Floquet
-results (bands, kappa, the Bloch-wave criteria) do not depend on the BLAS
-kernel OpenBLAS picks for the CPU; a solved state does, through the solver's
-dot products, banded solves and L-BFGS-B kernel, so its bytes match only
-between runs on the same kernel.
+bands.csv for spectral scans), both through one writer: a header, then the
+repr of each float, commas, CRLF.  Runs are deterministic: the same config
+and build produce byte-identical reports apart from the timestamp field.
+Floquet results (bands, kappa, the Bloch-wave criteria) do not depend on the
+BLAS kernel OpenBLAS picks for the CPU; a solved state does, through the
+solver's dot products, banded solves and L-BFGS-B kernel, so its bytes match
+only between runs on the same kernel.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -44,6 +44,11 @@ from .media import (
 from .variational import Grid, SolverOptions, _validate_spectrum, solve_ground_state
 
 KINDS = ("bloch", "groundstate", "interface", "criteria", "dislocation", "sweep")
+# the top-level fields a sweep row's parse_config reads
+SWEEP_FIELDS = ("p", "lambda", "tol", "max_iter", "tau", "h", "L_dom", "lambda_list",
+                "medium", "V", "Gamma", "side1", "side2", "V0", "Gamma0")
+CURVE_HEADERS = {"profiles.csv": ("x", "u", "V", "Gamma"),
+                 "bands.csv": ("lambda", "discriminant", "kappa")}
 
 
 @dataclass
@@ -62,15 +67,15 @@ class ExperimentSpec:
 
 @dataclass
 class Report:
-    """The JSON results plus the curve data written beside them: solved
-    states as (grid, values, medium) for profiles.csv, Bloch scan rows for
-    bands.csv."""
+    """The JSON results plus the curve files written beside them: curves maps
+    a file name of CURVE_HEADERS to its rows of floats, x, u, V, Gamma of each
+    solved state for profiles.csv and lambda, discriminant, kappa of each
+    Bloch scan row without an error for bands.csv."""
 
     spec_echo: dict
     results: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
-    profiles: list = field(default_factory=list)
-    bands: list = field(default_factory=list)
+    curves: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"spec": self.spec_echo, "results": self.results, "provenance": self.provenance}
@@ -168,12 +173,15 @@ def parse_config(source) -> ExperimentSpec:
             or not isinstance(axis.get("values"), list)
         ):
             raise ValidationError("sweep: needs {parameter, values} object")
-        spec.sweep = (axis["parameter"], list(axis["values"]))
+        name = axis["parameter"]
+        if name not in SWEEP_FIELDS:
+            raise ValidationError(f"sweep.parameter: expected one of {SWEEP_FIELDS}, got {name!r}")
+        spec.sweep = (name, list(axis["values"]))
 
     if "lambda_list" in cfg:
         values = cfg["lambda_list"]
-        if not isinstance(values, list):
-            raise ValidationError("lambda_list: expected a list of numbers")
+        if not isinstance(values, list) or not values:
+            raise ValidationError("lambda_list: expected a non-empty list of numbers")
         spec.lambda_list = [_number(v, f"lambda_list[{i}]") for i, v in enumerate(values)]
 
     h = _number(cfg.get("h", 0.01), "h")
@@ -228,7 +236,12 @@ def _auto_extent(pots: list, lam: float) -> float:
     return max(10.0, min(12.0 / kmin, 200.0))
 
 
-def _summarize_state(res, grid: Grid) -> dict:
+def _record_state(report: Report, res, m: PeriodicMedium) -> dict:
+    """Add x, u, V, Gamma of a solved state to the report's profiles.csv rows
+    and return the state's summary."""
+    grid = res.state.grid
+    rows = np.column_stack((grid.x, res.state.values, *eval_medium(m, grid.x))).tolist()
+    report.curves.setdefault("profiles.csv", []).extend(rows)
     return {
         "energy_c": res.energy_c,
         "residual": res.residual,
@@ -237,6 +250,14 @@ def _summarize_state(res, grid: Grid) -> dict:
         "decay_rate_fit": res.decay_rate_fit,
         "grid": {"L_dom": grid.L_dom, "h": grid.h, "nodes": grid.nodes},
     }
+
+
+def _criterion(evaluate, *args) -> dict:
+    """evaluate(*args).to_json(), or {"error": ...} for the SgsLabError it raises."""
+    try:
+        return evaluate(*args).to_json()
+    except SgsLabError as exc:
+        return {"error": str(exc)}
 
 
 def run_experiment(spec: ExperimentSpec) -> Report:
@@ -255,21 +276,20 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     if spec.kind == "bloch":
         lam_list = spec.lambda_list or [spec.params.lam]
         rows = []
+        bands = report.curves["bands.csv"] = []
         for lam in lam_list:
             try:
                 M, _, kappa = bloch.floquet_exponent(spec.media["V"], lam)
-                rows.append(
-                    {"lambda": float(lam), "discriminant": float(M.trace), "kappa": float(kappa)}
-                )
             except SgsLabError as exc:
                 rows.append({"lambda": lam, "error": str(exc)})
+                continue
+            bands.append([float(lam), float(M.trace), float(kappa)])
+            rows.append(dict(zip(CURVE_HEADERS["bands.csv"], bands[-1])))
         report.results.append({"kind": "bloch", "bands": rows})
-        report.bands.extend(rows)
 
     elif spec.kind == "groundstate":
         res = solve_ground_state(m, spec.params, spec.grid, opts)
-        report.results.append({"kind": "groundstate", "result": _summarize_state(res, spec.grid)})
-        report.profiles.append((spec.grid, res.state.values, m))
+        report.results.append({"kind": "groundstate", "result": _record_state(report, res, m)})
 
     elif spec.kind in ("interface", "criteria"):
         m1, m2 = m.sides
@@ -278,38 +298,25 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         verdict = criteria.energy_verdict(res.energy_c, c_sides[0], c_sides[1], tol=10 * spec.tol)
         entry = {
             "kind": spec.kind,
-            "result": _summarize_state(res, spec.grid),
+            "result": _record_state(report, res, m),
             "c1": c_sides[0],
             "c2": c_sides[1],
             "energy_verdict": verdict.to_json(),
         }
         if spec.kind == "criteria":
             entry["nonexistence_check"] = criteria.nonexistence_check(m).to_json()
-            try:
-                entry["bloch_integral_criterion"] = criteria.bloch_integral_criterion(
-                    m1.V, m2.V, spec.params.lam
-                ).to_json()
-            except SgsLabError as exc:
-                entry["bloch_integral_criterion"] = {"error": str(exc)}
-            try:
-                entry["boundary_condition"] = criteria.boundary_condition(m1.V, m2.V).to_json()
-            except SgsLabError as exc:
-                entry["boundary_condition"] = {"error": str(exc)}
+            entry["bloch_integral_criterion"] = _criterion(
+                criteria.bloch_integral_criterion, m1.V, m2.V, spec.params.lam
+            )
+            entry["boundary_condition"] = _criterion(criteria.boundary_condition, m1.V, m2.V)
         report.results.append(entry)
-        report.profiles.append((spec.grid, res.state.values, m))
 
     elif spec.kind == "dislocation":
-        try:
-            criterion = criteria.dislocation_report(
-                spec.media["V0"], spec.media["Gamma0"], spec.tau, spec.params.lam
-            ).to_json()
-        except SgsLabError as exc:
-            criterion = {"error": str(exc)}
-        entry = {"kind": "dislocation", "criterion": criterion}
+        args = (spec.media["V0"], spec.media["Gamma0"], spec.tau, spec.params.lam)
+        entry = {"kind": "dislocation", "criterion": _criterion(criteria.dislocation_report, *args)}
         if spec.tau != 0.0:
             res = solve_ground_state(m, spec.params, spec.grid, opts)
-            entry["result"] = _summarize_state(res, spec.grid)
-            report.profiles.append((spec.grid, res.state.values, m))
+            entry["result"] = _record_state(report, res, m)
         report.results.append(entry)
 
     else:  # sweep: the rows' curve data is not written
@@ -329,39 +336,20 @@ def run_experiment(spec: ExperimentSpec) -> Report:
 
 
 def emit_report(report: Report, out_dir) -> list:
-    """Write report.json plus any CSV curve files; returns the paths."""
+    """Write report.json plus each curve file in the bytes csv.writer gives
+    (a header, then the repr of each float, commas, CRLF); returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rpt = out / "report.json"
     rpt.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     paths = [rpt]
-
-    if report.profiles:
-        ppath = out / "profiles.csv"
-        with ppath.open("w", newline="") as fh:
-            # the rows csv.writer would write: repr of each float, CRLF
-            fh.write("x,u,V,Gamma\r\n")
-            for grid, values, medium in report.profiles:
-                rows = np.column_stack((grid.x, values, *eval_medium(medium, grid.x))).tolist()
-                fh.write("".join(f"{x!r},{u!r},{v!r},{g!r}\r\n" for x, u, v, g in rows))
-        paths.append(ppath)
-
-    if report.bands:
-        bpath = out / "bands.csv"
-        with bpath.open("w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["lambda", "discriminant", "kappa"])
-            for row in report.bands:
-                if "error" in row:
-                    continue
-                wr.writerow(
-                    [
-                        repr(float(row["lambda"])),
-                        repr(float(row["discriminant"])),
-                        repr(float(row["kappa"])),
-                    ]
-                )
-        paths.append(bpath)
+    for name, rows in report.curves.items():
+        # repr column by column: as fast as a per-row f-string, for any width
+        cols = [map(repr, col) for col in zip(*rows)]
+        lines = [",".join(CURVE_HEADERS[name]), *map(",".join, zip(*cols)), ""]
+        path = out / name
+        path.write_text("\r\n".join(lines), newline="")
+        paths.append(path)
     return paths
 
 

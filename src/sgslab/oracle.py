@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochData
+from .bloch import DEFAULT_SAMPLES, BlochData
 from .errors import LambdaInSpectrum, NonprojectableState
 from .media import FunctionDescriptor, ProblemParams
 from .variational import Grid, GridFunction, _Discretization
@@ -56,14 +56,14 @@ def closed_form_soliton(m: float, Gamma0: float, p: float, grid: Grid):
     return GridFunction.from_callable(grid, w), c_exact
 
 
-def constant_bloch_reference(v0: float, lam: float, samples: int = 1025) -> BlochData:
-    """Gap-spectral data of the constant-coefficient operator: periodic
-    factors identically 1, kappa = sqrt(v0 - lambda)."""
+def constant_bloch_reference(v0: float, lam: float) -> BlochData:
+    """Gap-spectral data of the constant-coefficient operator on bloch_modes'
+    default 1025 samples: periodic factors identically 1, kappa = sqrt(v0 - lambda)."""
     if lam >= v0:
         raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom {v0}")
     kappa = math.sqrt(v0 - lam)
-    ones = np.ones(samples)
-    zeros = np.zeros(samples)
+    ones = np.ones(DEFAULT_SAMPLES)
+    zeros = np.zeros(DEFAULT_SAMPLES)
     return BlochData(
         lam=lam,
         kappa=kappa,
@@ -73,7 +73,7 @@ def constant_bloch_reference(v0: float, lam: float, samples: int = 1025) -> Bloc
         p_minus=ones.copy(),
         dp_plus=zeros,
         dp_minus=zeros.copy(),
-        x=np.linspace(0.0, 1.0, samples),
+        x=np.linspace(0.0, 1.0, DEFAULT_SAMPLES),
     )
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 
+import numpy as np
 import pytest
 
 from sgslab import bloch
@@ -162,6 +163,35 @@ def test_sweep_invalid_row_leaves_no_temp_file(tmp_path, monkeypatch):
     assert list(tmp.iterdir()) == []
 
 
+@pytest.mark.parametrize("parameter", [5, "lamda", "row"], ids=["number", "typo", "row"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_sweep_parameter_must_be_a_config_field(tmp_path, capsys, command, parameter):
+    # unchecked, 5 broke the report's sorted keys after every row had run,
+    # "lamda" ran every row at the base lambda and "row" hid each row's index
+    raw = {
+        "kind": "sweep", "base_kind": "bloch", "V": {"const": 1.0}, "lambda": -1.0,
+        "sweep": {"parameter": parameter, "values": [-2.0, -3.0]},
+    }
+    with pytest.raises(ValidationError, match="^sweep.parameter"):
+        parse_config(raw)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, write_cfg(tmp_path, "sweep.json", raw), *out]) == 2
+    assert "validation error: sweep.parameter" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_lambda_list_is_a_validation_error(tmp_path, capsys):
+    # not a scan at the base lambda
+    raw = {"kind": "bloch", "V": 1.0, "lambda": -1.0, "lambda_list": []}
+    with pytest.raises(ValidationError, match="^lambda_list"):
+        parse_config(raw)
+    cfg = write_cfg(tmp_path, "bloch.json", raw)
+    assert main(["validate", cfg]) == 2
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "validation error: lambda_list" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_dislocation_zero_shift_inconclusive(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -176,6 +206,34 @@ def test_dislocation_zero_shift_inconclusive(tmp_path):
     report = run_experiment(parse_config(cfg))
     crit = report.results[0]["criterion"]
     assert crit["verdict"] == "Inconclusive"
+
+
+def test_criteria_run_reports_every_criterion(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "criteria.json",
+        {
+            "kind": "criteria",
+            "lambda": 0.0,
+            "h": 0.08,
+            "side1": {"V": 1.2, "Gamma": 2.0},
+            "side2": {"V": 1.0, "Gamma": 1.0},
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    entry = json.loads((out / "report.json").read_text())["results"][0]
+    assert entry["energy_verdict"]["verdict"] == "ExistenceCertified"
+    assert entry["result"]["energy_c"] == pytest.approx(0.86592, abs=1e-5)
+    assert entry["c1"] == pytest.approx(0.87596, abs=1e-5)
+    assert entry["nonexistence_check"]["verdict"] == "Inconclusive"
+    integral = entry["bloch_integral_criterion"]
+    assert integral["verdict"] == "ExistenceCertified"
+    assert integral["intermediates"]["integral"] == pytest.approx(-0.0811, abs=1e-4)
+    boundary = entry["boundary_condition"]
+    assert boundary["verdict"] == "ExistenceCertified"
+    assert boundary["intermediates"]["branch"] == "value"
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys):
@@ -198,6 +256,31 @@ def test_cli_run_end_to_end(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "report.json" in printed and "bands.csv" in printed
+
+
+def test_cli_run_of_a_file_that_is_not_json_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "broken.json"
+    cfg.write_text("{kind: bloch")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "parse error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_without_convergence_exits_3(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "gs.json",
+        {
+            "kind": "groundstate",
+            "medium": {"V": 1.0, "Gamma": 1.0},
+            "L_dom": 10.0,
+            "h": 0.1,
+            "max_iter": 1,
+        },
+    )
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "solver did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_deterministic_apart_from_timestamp(tmp_path):
@@ -247,6 +330,15 @@ def test_emit_report_twice_writes_identical_files(tmp_path):
     assert "_profile" not in texts[0][0]
 
 
+def _csv_writer_bytes(header, rows) -> bytes:
+    expected = io.StringIO(newline="")
+    wr = csv.writer(expected)
+    wr.writerow(header)
+    for row in rows:
+        wr.writerow([repr(float(c)) for c in row])
+    return expected.getvalue().encode()
+
+
 def test_profiles_csv_is_the_csv_writer_format(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -260,16 +352,27 @@ def test_profiles_csv_is_the_csv_writer_format(tmp_path):
             "side2": {"V": 1.0, "Gamma": 1.0},
         },
     )
-    report = run_experiment(parse_config(cfg))
+    spec = parse_config(cfg)
+    report = run_experiment(spec)
     emit_report(report, tmp_path / "out")
-    expected = io.StringIO(newline="")
-    wr = csv.writer(expected)
-    wr.writerow(["x", "u", "V", "Gamma"])
-    for grid, values, medium in report.profiles:
-        V, G = eval_medium(medium, grid.x)
-        for row in zip(grid.x, values, V, G):
-            wr.writerow([repr(float(c)) for c in row])
-    assert (tmp_path / "out" / "profiles.csv").read_bytes() == expected.getvalue().encode()
+    rows = report.curves["profiles.csv"]
+    x, _, V, G = np.array(rows).T
+    assert np.array_equal(x, spec.grid.x)
+    assert np.array_equal(np.stack((V, G)), eval_medium(spec.media["medium"], spec.grid.x))
+    assert (tmp_path / "out" / "profiles.csv").read_bytes() == _csv_writer_bytes(
+        ["x", "u", "V", "Gamma"], rows
+    )
+
+    # lambda = 2 lies in the spectrum of V = 1 + 0.5 cos: bands.csv leaves its row out
+    V = {"const": 1.0, "cos": [[1, 0.5]]}
+    cfg = write_cfg(tmp_path, "bloch.json", {"kind": "bloch", "V": V, "lambda_list": [-1.0, 2.0, -5.0]})
+    report = run_experiment(parse_config(cfg))
+    emit_report(report, tmp_path / "bands")
+    bloch_rows = report.results[0]["bands"]
+    assert [row["lambda"] for row in bloch_rows if "error" not in row] == [-1.0, -5.0]
+    header = ["lambda", "discriminant", "kappa"]
+    expected = [[row[k] for k in header] for row in bloch_rows if "error" not in row]
+    assert (tmp_path / "bands" / "bands.csv").read_bytes() == _csv_writer_bytes(header, expected)
 
 
 @pytest.mark.parametrize(
@@ -460,7 +563,7 @@ def test_groundstate_sweep_in_spectrum_row_keeps_the_gate_message(tmp_path):
         "lambda": 2.0,
         "error": f"lambda = 2.0 is not below the spectrum bottom {bottom}",
     }
-    assert report.profiles == [] and report.bands == []
+    assert report.curves == {}
 
 
 @pytest.mark.parametrize("lam", [-2e5, -1e6])
