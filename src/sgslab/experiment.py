@@ -28,6 +28,7 @@ from .errors import (
     H2Violation,
     LambdaInSpectrum,
     NoConvergence,
+    NonprojectableState,
     ParseError,
     SgsLabError,
     ValidationError,
@@ -387,6 +388,9 @@ def main(argv=None) -> int:
         report = run_experiment(spec)
     except NoConvergence as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
+        return 3
+    except NonprojectableState as exc:
+        print(f"solver produced no state: {exc}", file=sys.stderr)
         return 3
     paths = emit_report(report, args.out)
     for p in paths:

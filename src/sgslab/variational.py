@@ -120,6 +120,8 @@ class GroundStateResult:
     energy_c: float
     residual: float
     iterations: int
+    # stage-1 objective evaluations, a trace figure kept out of report.json
+    evaluations: int
     center_of_mass: float
     decay_rate_fit: float | None = None
 
@@ -229,13 +231,23 @@ def grad_J(u: GridFunction, m, params: ProblemParams) -> np.ndarray:
     return g
 
 
-def _seed(grid: Grid, m, vbar: float, lam: float, center: float | None) -> np.ndarray:
-    """Interior values of a Gaussian of width 1 / sqrt(mean V - lambda) at
-    center (default 0 for an interface, 0.5 for a periodic medium)."""
+def _seed(grid: Grid, m, op: _Discretization, lam: float, center: float | None) -> np.ndarray:
+    """The solver's start: a Gaussian of width 1 / sqrt(mean V - lambda) at
+    center (default 0 for an interface, 0.5 for a periodic medium), scaled
+    onto the constraint set, on the interior nodes.  Where it cannot be
+    scaled (a deep lambda makes it vanish on every node of a coarse grid),
+    NonprojectableState names its width and h."""
     if center is None:
         center = 0.0 if isinstance(m, InterfaceMedium) else 0.5
-    width = 1.0 / math.sqrt(max(vbar - lam, 0.25))
-    return np.exp(-((grid.x[1:-1] - center) / width) ** 2)
+    width = 1.0 / math.sqrt(max(float(np.mean(op.V)) - lam, 0.25))
+    v = np.exp(-((grid.x[1:-1] - center) / width) ** 2)
+    try:
+        return op.scale(v)[0] * v
+    except NonprojectableState as exc:
+        raise NonprojectableState(
+            f"the solver's seed of width {width:.3g} cannot be scaled onto the constraint "
+            f"set on the grid with h = {grid.h:.3g}: {exc}"
+        ) from exc
 
 
 def _validate_spectrum(m, lam: float):
@@ -247,18 +259,21 @@ def _validate_spectrum(m, lam: float):
             raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom {bottom}")
 
 
-def minimize(fg, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
+def minimize(fg, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, int]:
     """Unbounded L-BFGS-B (memory 10) on fg(x) -> (f, grad f) from x0.
 
     Drives scipy's kernel `setulb` in the loop that
     scipy.optimize.minimize(fg, x0, jac=True, method="L-BFGS-B") runs with
-    maxiter max_iter, maxfun 3 max_iter, gtol 1e-16 and ftol 1e-18, without
-    its per-evaluation wrappers, so the iterates are the same bits.  Like
-    minimize, it does not re-evaluate fg at the point it last evaluated, and
-    counts only distinct evaluations.  It stops when the kernel converges or
-    stalls, or at the first new iterate once max_iter iterations or more than
-    3 max_iter evaluations are spent.  fg must not modify its argument.
-    Returns (x, iterations).
+    maxiter max_iter, maxfun 3 max_iter, gtol 1e-16, ftol 1e-18 and maxls 4,
+    without its per-evaluation wrappers, so the iterates are the same bits.
+    Almost every accepted step takes three line-search evaluations or fewer;
+    the budget of 4 (scipy's default is 20) bounds what the two failed
+    searches that end a round-off stall cost.  Like minimize, it does not
+    re-evaluate fg at the point it last evaluated, and counts only distinct
+    evaluations.  It stops when the kernel converges or stalls, or at the
+    first new iterate once max_iter iterations or more than 3 max_iter
+    evaluations are spent.  fg must not modify its argument.
+    Returns (x, iterations, evaluations).
     """
     m, n = 10, x0.size
     x = np.array(x0, dtype=np.float64)
@@ -271,7 +286,7 @@ def minimize(fg, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
     nit = nfev = 0
     while True:
         setulb(m, x, free, free, nbd, f, g, factr, 1e-16, wa, iwa, task,
-               lsave, isave, dsave, 20, ln_task)
+               lsave, isave, dsave, 4, ln_task)
         if task[0] == 3:  # FG: f and g at x
             if nfev == 0 or not (x == seen).all():
                 fx, gx = fg(x)
@@ -285,7 +300,7 @@ def minimize(fg, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
             elif nfev > 3 * max_iter:
                 task[:] = 5, 502  # STOP: evaluation limit
         else:
-            return x, nit
+            return x, nit, nfev
 
 
 def solve_ground_state(
@@ -302,7 +317,8 @@ def solve_ground_state(
 
     with s the projection scale of v.  Each evaluation costs two O(n)
     triangular banded solves.  Stage 1 runs L-BFGS-B on E until it stalls,
-    whatever the residual.  Stage 2 takes Newton steps on grad J = 0 with the
+    whatever the residual; a round-off stall costs 8 evaluations, and stage 2
+    polishes what it leaves.  Stage 2 takes Newton steps on grad J = 0 with the
     tridiagonal Jacobian L - p h Gamma |u|^{p-1}, keeping a step only while it
     lowers the residual and does not raise the projected energy by more than
     1e-12 relative; a rejected step is retried without the Jacobian's
@@ -341,10 +357,10 @@ def solve_ground_state(
         return params.eta * q * s2, s2 * x - back
 
     # ---- stage 1: L-BFGS-B on the projected energy, run until it stalls ----
-    u = project(_seed(grid, m, float(np.mean(op.V)), params.lam, opts.seed_center))[0]
+    u = _seed(grid, m, op, params.lam, opts.seed_center)
     x0 = R[1] * u  # x0 = R u
     x0[:-1] += R[0, 1:] * u[1:]
-    x, it = minimize(reduced, x0, opts.max_iter)
+    x, it, evaluations = minimize(reduced, x0, opts.max_iter)
     u, energy, g, residual = project(dtbtrs(R, x)[0])
 
     # ---- stage 2: banded Newton finish ----
@@ -396,6 +412,7 @@ def solve_ground_state(
         energy_c=energy,
         residual=residual,
         iterations=it,
+        evaluations=evaluations,
         center_of_mass=com,
         decay_rate_fit=_fit_decay_rate(grid, v),
     )

@@ -283,6 +283,31 @@ def test_cli_run_without_convergence_exits_3(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "groundstate", "medium": {"V": 1.0, "Gamma": 1.0}},
+        {
+            "kind": "criteria",
+            "side1": {"V": {"const": 1.0, "cos": [[1, 0.5]]}, "Gamma": 1.0},
+            "side2": {"V": 1.0, "Gamma": 1.0},
+        },
+    ],
+    ids=["groundstate", "criteria"],
+)
+def test_cli_unprojectable_seed_exits_3(tmp_path, capsys, config):
+    # at lambda = -1e6 the seed's width is 1e-3, so on h = 0.04 it underflows
+    # on every node around the periodic seed centre 0.5
+    cfg = write_cfg(
+        tmp_path, "deep.json", {**config, "lambda": -1e6, "L_dom": 10.0, "h": 0.04}
+    )
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver produced no state: the solver's seed of width 0.001")
+    assert "h = 0.04" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_deterministic_apart_from_timestamp(tmp_path):
     cfg = write_cfg(
         tmp_path,

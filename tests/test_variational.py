@@ -1,5 +1,6 @@
 """Discrete functionals, constraint projection, and the ground-state solver."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.optimize
 
 from sgslab import oracle, variational
+from sgslab.experiment import parse_config
 from sgslab.errors import LambdaInSpectrum, NonprojectableState, TailNotResolved
 from sgslab.media import (
     FunctionDescriptor,
@@ -282,18 +284,60 @@ def test_lbfgsb_driver_matches_scipy_minimize(handed_objectives, case, max_iter)
     # settings; a scipy release that changes the kernel or how minimize
     # drives it must fail here rather than move the solver's iterates
     fg, x0 = handed_objectives[case]
-    x, nit = minimize(fg, x0, max_iter)
+    values = []
+
+    def logged(x):
+        fx = fg(x)
+        values.append(fx[0])
+        return fx
+
+    x, nit, evaluations = minimize(logged, x0, max_iter)
     ref = scipy.optimize.minimize(
         fg,
         x0,
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iter, "maxfun": 3 * max_iter, "gtol": 1e-16, "ftol": 1e-18},
+        options={
+            "maxiter": max_iter,
+            "maxfun": 3 * max_iter,
+            "gtol": 1e-16,
+            "ftol": 1e-18,
+            "maxls": 4,
+        },
     )
-    assert nit == ref.nit
+    assert nit == ref.nit and evaluations == ref.nfev
     assert np.array_equal(x, ref.x)
-    assert fg(x)[0] == ref.fun
+    # fun is the kernel's f: the last value evaluated, which after a failed
+    # line search is not the value at the restored x
+    assert values[-1] == ref.fun
     if max_iter == 50:
         assert nit == 50
     else:
         assert nit < max_iter
+
+
+def test_round_off_stall_costs_two_short_line_searches(tmp_path, monkeypatch):
+    # L-BFGS-B stops after two line searches have failed at the energy's
+    # rounding floor; with a budget of 4 evaluations each, that stall costs 8
+    # evaluations instead of 40 (the benchmark's groundstate-mathieu solve)
+    cfg = tmp_path / "gs.json"
+    cfg.write_text(json.dumps({
+        "kind": "groundstate", "p": 3.0, "lambda": 0.0, "h": 0.08,
+        "medium": {"V": {"const": 1.0, "cos": [[1, 0.5]]}, "Gamma": 1.0},
+    }))
+    spec = parse_config(str(cfg))
+    calls = 0
+
+    def record(fg, x0, max_iter):
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return fg(x)
+
+        return minimize(counted, x0, max_iter)
+
+    monkeypatch.setattr(variational, "minimize", record)
+    res = solve_ground_state(spec.media["medium"], spec.params, spec.grid, SolverOptions())
+    assert res.residual < 1e-8
+    assert calls == res.evaluations
+    assert calls <= res.iterations + 2 * 4 + 2
