@@ -8,8 +8,8 @@ import pytest
 import scipy.optimize
 
 from sgslab import oracle, variational
-from sgslab.experiment import parse_config
 from sgslab.errors import LambdaInSpectrum, NonprojectableState, TailNotResolved
+from sgslab.experiment import parse_config
 from sgslab.media import (
     FunctionDescriptor,
     PeriodicMedium,
