@@ -120,8 +120,11 @@ class GroundStateResult:
     energy_c: float
     residual: float
     iterations: int
-    # stage-1 objective evaluations, a trace figure kept out of report.json
+    # trace figures kept out of report.json: stage-1 objective evaluations,
+    # translation scans run and the net whole-node shift they applied
     evaluations: int
+    scans: int
+    shift_nodes: int
     center_of_mass: float
     decay_rate_fit: float | None = None
 
@@ -201,6 +204,51 @@ class _Discretization:
         jac[1] -= self.p * self.wG * np.abs(u) ** (self.p - 1.0)
         return jac
 
+    def best_translate(self, v: np.ndarray) -> tuple[int, np.ndarray]:
+        """The whole-node translate of v, with zero fill, of least projected
+        energy: (k, s w) with w_j = v_{j-k} and s its projection scale, or
+        (0, v) when that translate is not strictly below v.
+
+        One O(n log n) scan scores every shift.  The kinetic part of the
+        quadratic form, (1/h) sum of squared edge differences with the walls,
+        loses only the edges that fall off the ends, so a prefix sum gives it;
+        the potential part h (V - lambda) and the nonlinear weight wG are
+        correlated with v^2 and |v|^{p+1} by FFT.  The scan only selects k:
+        the translate is accepted only if its energy, projected through scale
+        and energy, is strictly below that of v, so rounding in the scan
+        cannot move the state uphill."""
+        n = v.size
+        v2 = v * v
+        mass = np.abs(v) ** (self.p + 1.0)
+        prefix = np.concatenate(([0.0], np.cumsum(np.diff(v) ** 2)))
+        k = np.arange(1 - n, n)
+        first, last = np.maximum(0, -k), np.minimum(n - 1, n - 1 - k)
+        kinetic = (v2[first] + v2[last] + prefix[last] - prefix[first]) / self.h
+        size = 2 * n
+        weights = np.fft.rfft(np.vstack([self.band[1] - 2.0 / self.h, self.wG]), size)
+        terms = np.fft.rfft(np.vstack([v2, mass]), size)
+        corr = np.fft.irfft(weights * terms.conj(), size)
+        corr = np.concatenate([corr[:, size - n + 1:], corr[:, :n]], axis=1)  # shifts 1 - n .. n - 1
+        quad, nl = kinetic + corr[0], corr[1]
+        # shifts that keep too little mass for the FFT's rounding are skipped
+        ok = (quad > 0.0) & (nl > 1e-9 * float(np.abs(self.wG).max() * mass.sum()))
+        if not ok[n - 1]:
+            return 0, v
+        scores = np.full(k.size, math.inf)
+        scores[ok] = quad[ok] * (quad[ok] / nl[ok]) ** (2.0 / (self.p - 1.0))
+        shift = int(k[np.argmin(scores)])
+        if shift == 0:
+            return 0, v
+        w = np.zeros(n)
+        if shift > 0:
+            w[shift:] = v[:n - shift]
+        else:
+            w[:n + shift] = v[-shift:]
+        s = self.scale(w)[0]
+        if self.energy(s * w) < self.energy(self.scale(v)[0] * v):
+            return shift, s * w
+        return 0, v
+
 
 def J_eval(u: GridFunction, m, params: ProblemParams) -> float:
     """Discrete energy functional."""
@@ -250,6 +298,14 @@ def _seed(grid: Grid, m, op: _Discretization, lam: float, center: float | None) 
         ) from exc
 
 
+# stage 1 scans for a lower whole-node translate every SCAN_EVERY L-BFGS-B
+# iterations; the sub-node finish takes at most SECANT_STEPS secant steps,
+# each relaxed by at most RELAX_STEPS Newton steps
+SCAN_EVERY = 100
+SECANT_STEPS = 8
+RELAX_STEPS = 3
+
+
 def _validate_spectrum(m, lam: float):
     """The spectral gate: lambda below min sigma(-d^2/dx^2 + V) of every side
     of m.  parse_config runs it too, so a config fails before any solve."""
@@ -259,7 +315,7 @@ def _validate_spectrum(m, lam: float):
             raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom {bottom}")
 
 
-def minimize(fg, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, int]:
+def minimize(fg, x0: np.ndarray, max_iter: int, hook=None) -> tuple[np.ndarray, int, int]:
     """Unbounded L-BFGS-B (memory 10) on fg(x) -> (f, grad f) from x0.
 
     Drives scipy's kernel `setulb` in the loop that
@@ -272,7 +328,9 @@ def minimize(fg, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, int]:
     re-evaluate fg at the point it last evaluated, and counts only distinct
     evaluations.  It stops when the kernel converges or stalls, or at the
     first new iterate once max_iter iterations or more than 3 max_iter
-    evaluations are spent.  fg must not modify its argument.
+    evaluations are spent.  fg must not modify its argument.  hook(x, nit),
+    if given, is called at each new iterate, as minimize calls its callback,
+    and a true return stops the run there.
     Returns (x, iterations, evaluations).
     """
     m, n = 10, x0.size
@@ -295,6 +353,8 @@ def minimize(fg, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, int, int]:
             f, g = fx, gx.copy()  # the kernel may overwrite g
         elif task[0] == 1:  # NEW_X: an iteration is done
             nit += 1
+            if hook is not None and hook(x, nit):
+                task[:] = 5, 505  # STOP: the hook asked to halt
             if nit >= max_iter:
                 task[:] = 5, 504  # STOP: iteration limit
             elif nfev > 3 * max_iter:
@@ -317,12 +377,28 @@ def solve_ground_state(
 
     with s the projection scale of v.  Each evaluation costs two O(n)
     triangular banded solves.  Stage 1 runs L-BFGS-B on E until it stalls,
-    whatever the residual; a round-off stall costs 8 evaluations, and stage 2
-    polishes what it leaves.  Stage 2 takes Newton steps on grad J = 0 with the
+    whatever the residual, or until a translation scan (below) halts it; a
+    round-off stall costs 8 evaluations, and stage 2 polishes what it
+    leaves.  Stage 2 takes Newton steps on grad J = 0 with the
     tridiagonal Jacobian L - p h Gamma |u|^{p-1}, keeping a step only while it
     lowers the residual and does not raise the projected energy by more than
     1e-12 relative; a rejected step is retried without the Jacobian's
-    near-null mode.  iterations counts L-BFGS-B iterations plus Newton steps.
+    near-null mode, and if that is rejected too, the sub-node finish moves
+    the state along the mode.
+
+    Where the least energy is only approached by states sliding into one
+    medium, the constrained energy has a valley that is almost flat along
+    translation, and L-BFGS-B would crawl down it.  Two triggers jump along
+    it instead: every SCAN_EVERY iterations of an L-BFGS-B run, and when
+    stage 2 ends above tol, a scan scores every whole-node translate of the
+    state, and a strictly lower one restarts stage 1.  A run scans no more
+    once a scan finds nothing lower, and a translated state is polished to
+    the residual's rounding floor.  A solve whose first L-BFGS-B run stops
+    within SCAN_EVERY iterations and whose Newton finish reaches tol never
+    scans, and keeps the iterates it had without the scans.  iterations
+    counts L-BFGS-B iterations, accepted Newton and sub-node steps, and
+    translations; scans and shift_nodes count the scans and the net shift
+    they applied.
     The residual is the discrete L2 norm of the interior strong-form residual.
     The result is the critical point reached; its Morse index is not checked.
     """
@@ -356,39 +432,124 @@ def solve_ground_state(
         back *= s2 ** ((p + 1.0) / 2.0)
         return params.eta * q * s2, s2 * x - back
 
-    # ---- stage 1: L-BFGS-B on the projected energy, run until it stalls ----
-    u = _seed(grid, m, op, params.lam, opts.seed_center)
-    x0 = R[1] * u  # x0 = R u
-    x0[:-1] += R[0, 1:] * u[1:]
-    x, it, evaluations = minimize(reduced, x0, opts.max_iter)
-    u, energy, g, residual = project(dtbtrs(R, x)[0])
+    def accepts(trial, energy, residual):
+        return trial[3] < residual and trial[1] <= energy + 1e-12 * abs(energy)
 
-    # ---- stage 2: banded Newton finish ----
-    # A near-null Jacobian mode (a state in a constant medium, whose
-    # translation only the walls pin) turns rounding noise in g into a huge
-    # step along that mode.  If the full step is rejected, the step with the
-    # mode removed is tried; one inverse iteration, J^{-2} g, finds the mode.
-    while residual >= opts.tol and it < opts.max_iter:
+    def newton(u, g):
+        """The Newton step J^{-1} g at u and the unit near-null mode that one
+        inverse iteration, J^{-2} g, finds."""
         jac = op.jacobian(u)
-        try:
-            step = solve_banded((1, 1), jac, g, check_finite=False)
-            mode = solve_banded((1, 1), jac, step, check_finite=False)
-        except LinAlgError:
-            break
-        mode /= np.linalg.norm(mode)
-        cand = None
-        for d in (step, step - (mode @ step) * mode):
-            try:
-                trial = project(u - d)
-            except NonprojectableState:
-                continue
-            if trial[3] < residual and trial[1] <= energy + 1e-12 * abs(energy):
-                cand = trial
+        step = solve_banded((1, 1), jac, g, check_finite=False)
+        mode = solve_banded((1, 1), jac, step, check_finite=False)
+        return step, mode / np.linalg.norm(mode)
+
+    def relaxed(v):
+        """project(v), then Newton steps with the near-null mode removed while
+        they lower the residual, at most RELAX_STEPS."""
+        cur = project(v)
+        for _ in range(RELAX_STEPS):
+            step, mode = newton(cur[0], cur[2])
+            trial = project(cur[0] - step + (mode @ step) * mode)
+            if trial[3] >= cur[3]:
                 break
-        if cand is None:
+            cur = trial
+        return cur
+
+    def along_mode(u, energy, residual, g, step, mode):
+        """The sub-node finish: secant steps on mode @ grad J along the
+        near-null mode from u, each relaxed off the mode and each within one
+        node's move of u, the first downhill by the Newton step's move along
+        the mode, clipped to a node.  The best state accepted, or None."""
+        node = float(np.linalg.norm(np.diff(u)))  # |u - u translated one node|
+        t0, f0 = 0.0, float(mode @ g)
+        t = -math.copysign(min(abs(float(mode @ step)), node), f0)
+        best = None
+        for _ in range(SECANT_STEPS):
+            try:
+                trial = relaxed(u + t * mode)
+            except (NonprojectableState, LinAlgError):
+                break
+            f = float(mode @ trial[2])
+            if accepts(trial, energy, residual):
+                best, residual = trial, trial[3]
+            if abs(f) >= abs(f0):
+                break
+            t0, f0, t = t, f, max(-node, min(node, t - f * (t - t0) / (f - f0)))
+            if t == t0:
+                break
+        return best
+
+    scans = shift_nodes = it = evaluations = 0
+    jump = None
+    # stage 2 stops below tol, but once the state has been translated it runs
+    # on to the residual's rounding floor: along the flat drift valley a
+    # residual below tol does not yet pin the centre, nor the energy to 1e-12
+    floor = opts.tol
+
+    def scan_hook(x, nit):
+        """Every SCAN_EVERY iterations of a run, look for a lower whole-node
+        translate; stop the run at the first one found, and scan no more in a
+        run once a scan finds none."""
+        nonlocal scans, jump
+        if jump is not None or nit % SCAN_EVERY:
+            return False
+        scans += 1
+        jump = op.best_translate(dtbtrs(R, x)[0])
+        return jump[0] != 0
+
+    u = _seed(grid, m, op, params.lam, opts.seed_center)
+    while True:
+        # ---- stage 1: L-BFGS-B on the projected energy, run until it stalls
+        # or a scan finds a lower translate ----
+        x0 = R[1] * u  # x0 = R u
+        x0[:-1] += R[0, 1:] * u[1:]
+        jump = None
+        x, nit, nfev = minimize(reduced, x0, opts.max_iter - it, scan_hook)
+        it, evaluations = it + nit, evaluations + nfev
+        if jump is not None and jump[0] != 0:
+            shift_nodes += jump[0]
+            u, floor, it = jump[1], 0.0, it + 1
+            continue
+        u, energy, g, residual = project(dtbtrs(R, x)[0])
+
+        # ---- stage 2: banded Newton finish ----
+        # A near-null Jacobian mode (a state in a constant medium, whose
+        # translation only the walls pin) turns rounding noise in g into a
+        # huge step along that mode.  If the full step is rejected, the step
+        # with the mode removed is tried; one inverse iteration, J^{-2} g,
+        # finds the mode.  If both are rejected, secant steps along the mode
+        # move the state by less than a node (a whole-node translate from a
+        # scan may leave it up to one node off), then Newton resumes.
+        while residual >= floor and it < opts.max_iter:
+            try:
+                step, mode = newton(u, g)
+            except LinAlgError:
+                break
+            cand = None
+            for d in (step, step - (mode @ step) * mode):
+                try:
+                    trial = project(u - d)
+                except NonprojectableState:
+                    continue
+                if accepts(trial, energy, residual):
+                    cand = trial
+                    break
+            if cand is None:
+                cand = along_mode(u, energy, residual, g, step, mode)
+            if cand is None:
+                break
+            u, energy, g, residual = cand
+            it += 1
+
+        # ---- a stall above tol: restart from a lower whole-node translate ----
+        if residual < opts.tol or it >= opts.max_iter:
             break
-        u, energy, g, residual = cand
-        it += 1
+        scans += 1
+        shift, w = op.best_translate(u)
+        if shift == 0:
+            break
+        shift_nodes += shift
+        u, floor, it = w, 0.0, it + 1
 
     if residual >= opts.tol and opts.strict:
         raise NoConvergence(
@@ -413,6 +574,8 @@ def solve_ground_state(
         residual=residual,
         iterations=it,
         evaluations=evaluations,
+        scans=scans,
+        shift_nodes=shift_nodes,
         center_of_mass=com,
         decay_rate_fit=_fit_decay_rate(grid, v),
     )

@@ -244,6 +244,7 @@ def test_solver_pinned_energies(grid, medium, tol, seed_center, energy):
     res = solve_ground_state(medium, P3, grid, SolverOptions(tol=tol, seed_center=seed_center))
     assert res.residual < tol
     assert res.energy_c == pytest.approx(energy, rel=1e-10)
+    assert res.scans == 0
     # the public functionals are the solver's own discretization
     assert J_eval(res.state, medium, P3) == pytest.approx(res.energy_c, rel=1e-12)
     g = grad_J(res.state, medium, P3)[1:-1]
@@ -258,9 +259,9 @@ def handed_objectives():
     periodic-Mathieu criteria run (Gamma = 1.5, lambda = -1, L = 10, h = 0.04)."""
     handed = []
 
-    def record(fg, x0, max_iter):
+    def record(fg, x0, max_iter, hook=None):
         handed.append((fg, x0.copy()))
-        return minimize(fg, x0, max_iter)
+        return minimize(fg, x0, max_iter, hook)
 
     fd = FunctionDescriptor
     drift = compose_interface(
@@ -270,8 +271,9 @@ def handed_objectives():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(variational, "minimize", record)
         solve_ground_state(drift, P3, Grid.from_extent(20.0, 0.08), SolverOptions(strict=False))
+        runs = len(handed)  # the drift solve restarts from translates
         solve_ground_state(mathieu, ProblemParams(p=3.0, lam=-1.0), Grid.from_extent(10.0, 0.04))
-    return {"drift": handed[0], "mathieu": handed[1]}
+    return {"drift": handed[0], "mathieu": handed[runs]}
 
 
 @pytest.mark.parametrize(
@@ -316,6 +318,55 @@ def test_lbfgsb_driver_matches_scipy_minimize(handed_objectives, case, max_iter)
         assert nit < max_iter
 
 
+def test_lbfgsb_hook_that_never_stops_leaves_iterates_unchanged(handed_objectives):
+    fg, x0 = handed_objectives["drift"]
+    seen = []
+
+    def hook(x, nit):
+        seen.append(nit)
+        return False
+
+    x, nit, evaluations = minimize(fg, x0, 5000, hook)
+    ref = minimize(fg, x0, 5000)
+    assert np.array_equal(x, ref[0]) and (nit, evaluations) == ref[1:]
+    assert seen == list(range(1, nit + 1))
+
+
+def test_lbfgsb_hook_halts_where_scipy_callback_halts(handed_objectives):
+    # a true return stops the run at that iterate, as a callback raising
+    # StopIteration stops scipy's minimize
+    fg, x0 = handed_objectives["drift"]
+    x, nit, evaluations = minimize(fg, x0, 5000, lambda x, nit: nit == 7)
+
+    def halt(intermediate_result):
+        if halt.nit == 7:
+            raise StopIteration
+        halt.nit += 1
+
+    halt.nit = 1
+    ref = scipy.optimize.minimize(
+        fg, x0, jac=True, method="L-BFGS-B", callback=halt,
+        options={"maxiter": 5000, "maxfun": 15000, "gtol": 1e-16, "ftol": 1e-18, "maxls": 4},
+    )
+    assert nit == ref.nit == 7 and evaluations == ref.nfev
+    assert np.array_equal(x, ref.x)
+
+
+def test_drift_valley_crossed_by_translation_scans():
+    # the drift interface on a box where L-BFGS-B alone crawls 9273 iterations
+    # down the translation valley to E = 0.666604421114 (residual 3.2e-11)
+    fd = FunctionDescriptor
+    drift = compose_interface(
+        PeriodicMedium(fd(const=1.0), fd(const=2.0)), PeriodicMedium(fd(const=2.0), fd(const=1.0))
+    )
+    opts = SolverOptions(tol=1e-10, strict=False)
+    res = solve_ground_state(drift, P3, Grid.from_extent(30.0, 0.04), opts)
+    assert res.residual < 1e-10
+    assert res.energy_c <= 0.666604421114 * (1.0 + 1e-12)
+    assert res.center_of_mass > 2.0
+    assert res.scans >= 1
+
+
 def test_round_off_stall_costs_two_short_line_searches(tmp_path, monkeypatch):
     # L-BFGS-B stops after two line searches have failed at the energy's
     # rounding floor; with a budget of 4 evaluations each, that stall costs 8
@@ -328,13 +379,13 @@ def test_round_off_stall_costs_two_short_line_searches(tmp_path, monkeypatch):
     spec = parse_config(str(cfg))
     calls = 0
 
-    def record(fg, x0, max_iter):
+    def record(fg, x0, max_iter, hook=None):
         def counted(x):
             nonlocal calls
             calls += 1
             return fg(x)
 
-        return minimize(counted, x0, max_iter)
+        return minimize(counted, x0, max_iter, hook)
 
     monkeypatch.setattr(variational, "minimize", record)
     res = solve_ground_state(spec.media["medium"], spec.params, spec.grid, SolverOptions())
