@@ -277,23 +277,28 @@ def handed_objectives():
 
 
 @pytest.mark.parametrize(
-    "case, max_iter",
-    [("drift", 5000), ("drift", 50), ("mathieu", 50_000)],
-    ids=["drift-ftol-stop", "drift-budget-stop", "criteria-mathieu-side1"],
+    "case, max_iter, hooked",
+    [("drift", 5000, False), ("drift", 50, False), ("mathieu", 50_000, False), ("drift", 5000, True)],
+    ids=["drift-ftol-stop", "drift-budget-stop", "criteria-mathieu-side1", "drift-idle-hook"],
 )
-def test_lbfgsb_driver_matches_scipy_minimize(handed_objectives, case, max_iter):
+def test_lbfgsb_driver_matches_scipy_minimize(handed_objectives, case, max_iter, hooked):
     # minimize drives scipy's private L-BFGS-B kernel with minimize's own
     # settings; a scipy release that changes the kernel or how minimize
-    # drives it must fail here rather than move the solver's iterates
+    # drives it must fail here rather than move the solver's iterates.  A
+    # hook that never stops the run must leave the iterates as they are.
     fg, x0 = handed_objectives[case]
-    values = []
+    values, seen = [], []
 
     def logged(x):
         fx = fg(x)
         values.append(fx[0])
         return fx
 
-    x, nit, evaluations = minimize(logged, x0, max_iter)
+    def idle(x, nit):
+        seen.append(nit)
+        return False
+
+    x, nit, evaluations = minimize(logged, x0, max_iter, idle if hooked else None)
     ref = scipy.optimize.minimize(
         fg,
         x0,
@@ -316,20 +321,7 @@ def test_lbfgsb_driver_matches_scipy_minimize(handed_objectives, case, max_iter)
         assert nit == 50
     else:
         assert nit < max_iter
-
-
-def test_lbfgsb_hook_that_never_stops_leaves_iterates_unchanged(handed_objectives):
-    fg, x0 = handed_objectives["drift"]
-    seen = []
-
-    def hook(x, nit):
-        seen.append(nit)
-        return False
-
-    x, nit, evaluations = minimize(fg, x0, 5000, hook)
-    ref = minimize(fg, x0, 5000)
-    assert np.array_equal(x, ref[0]) and (nit, evaluations) == ref[1:]
-    assert seen == list(range(1, nit + 1))
+    assert seen == (list(range(1, nit + 1)) if hooked else [])
 
 
 def test_lbfgsb_hook_halts_where_scipy_callback_halts(handed_objectives):
