@@ -24,6 +24,8 @@ discriminant.  Callers that need only kappa or the discriminant (bloch scans,
 the automatic domain extent, the shifted-state decay rate) use it alone;
 bloch_modes adds the factor propagation and its two sweeps, and checks the
 positivity of p_pm and the constancy of their Wronskian wherever they are built.
+spectrum_min locates the band edge by Brent's method, the compiled root finder
+that _kernels loads.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._kernels import brentq
 from .errors import BracketFailure, IntegrationFailure, LambdaInSpectrum, PositivityFailure
 from .media import FunctionDescriptor
 
@@ -219,7 +221,7 @@ def discriminant(V: FunctionDescriptor, lam: float, steps: int | None = None) ->
 @functools.lru_cache(maxsize=256)
 def spectrum_min(V: FunctionDescriptor) -> float:
     """Bottom of the spectrum: the smallest lambda with discriminant equal
-    to 2, located by a scan plus root bracketing.  Memoized per (frozen,
+    to 2, located by a scan plus Brent's method.  Memoized per (frozen,
     hashable) descriptor: the spectrum checks of a run repeat it."""
     sup = V.sup_norm()
     lo, hi = -sup - 10.0, sup + 10.0
@@ -257,7 +259,11 @@ def floquet_exponent(V: FunctionDescriptor, lam: float, steps: int | None = None
     delta = M.trace
     if delta <= 2.0:
         raise LambdaInSpectrum(f"discriminant {delta} <= 2 at lambda = {lam}")
-    rho = delta / 2.0 + math.sqrt(delta * delta / 4.0 - 1.0)
+    # the half-trace first: delta * delta overflows where kappa passes ~355
+    half = delta / 2.0
+    rho = half + math.sqrt(half * half - 1.0)
+    if not math.isfinite(rho):
+        raise IntegrationFailure(f"Floquet multiplier {rho} is not finite at lambda = {lam}")
     return M, rho, math.log(rho)
 
 

@@ -19,19 +19,23 @@ On the interior nodes that quadratic form is v^T L v with L tridiagonal, and
 so is the Jacobian of the Euler-Lagrange residual.  One banded operator,
 _Discretization, holds both; J_eval, G_eval, nehari_project, grad_J, the
 solver and oracle.ansatz_upper_bound all evaluate the functional through it.
+
+The solver calls its compiled routines through _kernels: LAPACK's banded
+Cholesky factorization dpbtrf, banded triangular solve dtbtrs and
+tridiagonal solve dgtsv, and the L-BFGS-B kernel setulb.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, solve_banded
-from scipy.linalg.lapack import dtbtrs
-from scipy.optimize._lbfgsb import setulb
+from numpy.linalg import LinAlgError
 
 from . import bloch
+from ._kernels import dgtsv, dpbtrf, dtbtrs, setulb
 from .errors import (
     LambdaInSpectrum,
     NoConvergence,
@@ -126,7 +130,11 @@ class GroundStateResult:
     scans: int
     shift_nodes: int
     center_of_mass: float
-    decay_rate_fit: float | None = None
+
+    @functools.cached_property
+    def decay_rate_fit(self) -> float | None:
+        """The tail decay rate fitted to the state, computed when first read."""
+        return _fit_decay_rate(self.state.grid, self.state.values)
 
 
 def _trap_weights(grid: Grid) -> np.ndarray:
@@ -318,7 +326,7 @@ def _validate_spectrum(m, lam: float):
 def minimize(fg, x0: np.ndarray, max_iter: int, hook=None) -> tuple[np.ndarray, int, int]:
     """Unbounded L-BFGS-B (memory 10) on fg(x) -> (f, grad f) from x0.
 
-    Drives scipy's kernel `setulb` in the loop that
+    Drives the L-BFGS-B kernel setulb in the loop that
     scipy.optimize.minimize(fg, x0, jac=True, method="L-BFGS-B") runs with
     maxiter max_iter, maxfun 3 max_iter, gtol 1e-16, ftol 1e-18 and maxls 4,
     without its per-evaluation wrappers, so the iterates are the same bits.
@@ -408,7 +416,7 @@ def solve_ground_state(
     p, h = params.p, grid.h
     op = _Discretization.of(m, params, grid)
     try:
-        R = cholesky_banded(op.band[:2], check_finite=False)
+        R = dpbtrf(op.band[:2])
     except LinAlgError as exc:
         raise NonprojectableState(
             "quadratic form is not positive definite; lambda may not be below the spectrum"
@@ -419,7 +427,8 @@ def solve_ground_state(
         u = s * v
         g = op.gradient(u)
         energy = 0.5 * s * s * quad - s ** (p + 1.0) * nl / (p + 1.0)
-        return u, energy, g, float(np.linalg.norm(g / h)) * math.sqrt(h)
+        r = g / h
+        return u, energy, g, math.sqrt(r @ r) * math.sqrt(h)
 
     def reduced(x):
         v = dtbtrs(R, x)[0]
@@ -439,9 +448,9 @@ def solve_ground_state(
         """The Newton step J^{-1} g at u and the unit near-null mode that one
         inverse iteration, J^{-2} g, finds."""
         jac = op.jacobian(u)
-        step = solve_banded((1, 1), jac, g, check_finite=False)
-        mode = solve_banded((1, 1), jac, step, check_finite=False)
-        return step, mode / np.linalg.norm(mode)
+        step = dgtsv(jac, g)
+        mode = dgtsv(jac, step)
+        return step, mode / math.sqrt(mode @ mode)
 
     def relaxed(v):
         """project(v), then Newton steps with the near-null mode removed while
@@ -460,7 +469,8 @@ def solve_ground_state(
         near-null mode from u, each relaxed off the mode and each within one
         node's move of u, the first downhill by the Newton step's move along
         the mode, clipped to a node.  The best state accepted, or None."""
-        node = float(np.linalg.norm(np.diff(u)))  # |u - u translated one node|
+        edges = np.diff(u)
+        node = math.sqrt(edges @ edges)  # |u - u translated one node|
         t0, f0 = 0.0, float(mode @ g)
         t = -math.copysign(min(abs(float(mode @ step)), node), f0)
         best = None
@@ -577,7 +587,6 @@ def solve_ground_state(
         scans=scans,
         shift_nodes=shift_nodes,
         center_of_mass=com,
-        decay_rate_fit=_fit_decay_rate(grid, v),
     )
 
 

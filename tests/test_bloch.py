@@ -109,6 +109,26 @@ def test_bloch_modes_constant_closed_form_deep(lam):
     assert abs(bd.omega / (2.0 * bd.kappa) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("lam", [-126000.0, -126430.0])
+def test_kappa_finite_where_the_squared_trace_overflows(lam):
+    # the discriminant is above 1.34e154 here, so its square overflowed and
+    # kappa came back as inf without an error
+    _, rho, kappa = bloch.floquet_exponent(V_CONST, lam)
+    assert math.isfinite(rho)
+    assert kappa == pytest.approx(math.sqrt(1.0 - lam), rel=1e-12)
+    assert math.isfinite(bloch.floquet_exponent(V_MATHIEU, lam)[2])
+    bd = bloch.bloch_modes(V_CONST, lam)
+    assert bd.kappa == kappa and np.max(np.abs(bd.p_minus - 1.0)) <= 1e-10
+
+
+def test_infinite_floquet_multiplier_is_an_integration_failure(monkeypatch):
+    bloch.spectrum_min(V_CONST)   # memoized before monodromy is replaced
+    M = bloch.MonodromyMatrix(1.5e308, 0.0, 0.0, 1.5e308)   # finite entries, trace inf
+    monkeypatch.setattr(bloch, "monodromy", lambda V, lam, steps=None: M)
+    with pytest.raises(IntegrationFailure, match="Floquet multiplier inf"):
+        bloch.floquet_exponent(V_CONST, -1.0)
+
+
 @pytest.mark.parametrize(
     "V", [V_MATHIEU, V_KP, V_TWO, FunctionDescriptor(const=0.3, sin=((3, 1.1),))],
     ids=["mathieu", "kronig-penney", "two-harmonic", "sine"],

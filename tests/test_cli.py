@@ -660,3 +660,18 @@ def test_kappa_only_runs_build_no_bloch_factors(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bloch, "bloch_modes", refuse)
     assert outputs("kappa-only") == before
+
+
+def test_deep_bloch_report_is_strict_json(tmp_path, capsys):
+    # kappa ~ 355 used to be written as Infinity, which is not JSON
+    cfg = write_cfg(tmp_path, "deep.json", {"kind": "bloch", "V": 1.0, "lambda_list": [-126000.0]})
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def reject(name):
+        raise ValueError(f"{name} in report.json")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    row = report["results"][0]["bands"][0]
+    assert row["kappa"] == pytest.approx(math.sqrt(126001.0), rel=1e-12)

@@ -146,6 +146,15 @@ def test_solver_reproduces_soliton(grid, solved_const):
     assert res.decay_rate_fit == pytest.approx(1.0, rel=0.1)
 
 
+def test_decay_rate_fit_is_computed_when_read():
+    coarse = Grid.from_extent(10.0, 0.08)
+    res = solve_ground_state(CONST, P3, coarse)
+    assert "decay_rate_fit" not in vars(res)
+    fit = res.decay_rate_fit
+    assert fit == variational._fit_decay_rate(coarse, res.state.values)
+    assert vars(res)["decay_rate_fit"] is fit
+
+
 def test_solver_mass_scaling_law(grid):
     # constant case: energy scales as m^{3/2} for p = 3
     m2 = PeriodicMedium(FunctionDescriptor(const=2.0), FunctionDescriptor(const=1.0))
