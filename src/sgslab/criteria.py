@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,11 +145,17 @@ def shifted_state_criterion(
     already in the asymptotic regime.  kappa is the decay exponent of side 1;
     LambdaInSpectrum is raised when lambda is not below its spectrum.  For a
     side-2 state, pass the mirrored interface (side 2 reflected as side 1,
-    side 1 reflected as side 2) and the mirrored state w(-x).
+    side 1 reflected as side 2) and the mirrored state w(-x).  t_list must
+    hold distinct integer shifts (a bool is not one), or ValueError is raised.
     """
-    t_list = sorted(int(t) for t in t_list)
+    t_list = list(t_list)
     if not t_list:
         raise ValueError("t_list must be nonempty")
+    if any(isinstance(t, bool) or not isinstance(t, numbers.Integral) for t in t_list):
+        raise ValueError(f"t_list must hold integer shifts, not {t_list}")
+    if len(set(t_list)) < len(t_list):
+        raise ValueError(f"t_list repeats a shift: {t_list}")
+    t_list = sorted(int(t) for t in t_list)
     grid = w.state.grid
     # trapezoid rule over [-L_dom, 0]: the interface node x = 0 (a Grid keeps
     # it the middle node) has end weight h/2 and the mismatch's left limit

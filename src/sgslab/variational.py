@@ -306,10 +306,10 @@ def _seed(grid: Grid, m, op: _Discretization, lam: float, center: float | None) 
         ) from exc
 
 
-# stage 1 scans for a lower whole-node translate every SCAN_EVERY L-BFGS-B
-# iterations; the sub-node finish takes at most SECANT_STEPS secant steps,
-# each relaxed by at most RELAX_STEPS Newton steps
-SCAN_EVERY = 100
+# stage 1 scans once for a lower whole-node translate, at L-BFGS-B iteration
+# SCAN_AT; the sub-node finish takes at most SECANT_STEPS secant steps, each
+# relaxed by at most RELAX_STEPS Newton steps
+SCAN_AT = 100
 SECANT_STEPS = 8
 RELAX_STEPS = 3
 
@@ -385,7 +385,7 @@ def solve_ground_state(
 
     with s the projection scale of v.  Each evaluation costs two O(n)
     triangular banded solves.  Stage 1 runs L-BFGS-B on E until it stalls,
-    whatever the residual, or until a translation scan (below) halts it; a
+    whatever the residual, or until the translation scan (below) halts it; a
     round-off stall costs 8 evaluations, and stage 2 polishes what it
     leaves.  Stage 2 takes Newton steps on grad J = 0 with the
     tridiagonal Jacobian L - p h Gamma |u|^{p-1}, keeping a step only while it
@@ -396,17 +396,13 @@ def solve_ground_state(
 
     Where the least energy is only approached by states sliding into one
     medium, the constrained energy has a valley that is almost flat along
-    translation, and L-BFGS-B would crawl down it.  Two triggers jump along
-    it instead: every SCAN_EVERY iterations of an L-BFGS-B run, and when
-    stage 2 ends above tol, a scan scores every whole-node translate of the
-    state, and a strictly lower one restarts stage 1.  A run scans no more
-    once a scan finds nothing lower, and a translated state is polished to
-    the residual's rounding floor.  A solve whose first L-BFGS-B run stops
-    within SCAN_EVERY iterations and whose Newton finish reaches tol never
-    scans, and keeps the iterates it had without the scans.  iterations
-    counts L-BFGS-B iterations, accepted Newton and sub-node steps, and
-    translations; scans and shift_nodes count the scans and the net shift
-    they applied.
+    translation, and L-BFGS-B would crawl down it.  So at iteration SCAN_AT
+    a scan scores every whole-node translate of the state once; a strictly
+    lower one stops L-BFGS-B, and stage 2 polishes it to the residual's
+    rounding floor.  A solve that stops within SCAN_AT iterations never
+    scans.  iterations counts L-BFGS-B iterations, accepted Newton and
+    sub-node steps, and the translation; scans (0 or 1) and shift_nodes
+    count the scan and the shift it applied.
     The residual is the discrete L2 norm of the interior strong-form residual.
     The result is the critical point reached; its Morse index is not checked.
     """
@@ -489,77 +485,62 @@ def solve_ground_state(
                 break
         return best
 
-    scans = shift_nodes = it = evaluations = 0
-    jump = None
-    # stage 2 stops below tol, but once the state has been translated it runs
-    # on to the residual's rounding floor: along the flat drift valley a
-    # residual below tol does not yet pin the centre, nor the energy to 1e-12
-    floor = opts.tol
+    jump = (0, None)
 
     def scan_hook(x, nit):
-        """Every SCAN_EVERY iterations of a run, look for a lower whole-node
-        translate; stop the run at the first one found, and scan no more in a
-        run once a scan finds none."""
-        nonlocal scans, jump
-        if jump is not None or nit % SCAN_EVERY:
-            return False
-        scans += 1
-        jump = op.best_translate(dtbtrs(R, x)[0])
+        """At iteration SCAN_AT, look for a lower whole-node translate, and
+        stop the run if there is one."""
+        nonlocal jump
+        if nit == SCAN_AT:
+            jump = op.best_translate(dtbtrs(R, x)[0])
         return jump[0] != 0
 
+    # ---- stage 1: L-BFGS-B on the projected energy, run until it stalls or
+    # the scan finds a lower translate ----
     u = _seed(grid, m, op, params.lam, opts.seed_center)
-    while True:
-        # ---- stage 1: L-BFGS-B on the projected energy, run until it stalls
-        # or a scan finds a lower translate ----
-        x0 = R[1] * u  # x0 = R u
-        x0[:-1] += R[0, 1:] * u[1:]
-        jump = None
-        x, nit, nfev = minimize(reduced, x0, opts.max_iter - it, scan_hook)
-        it, evaluations = it + nit, evaluations + nfev
-        if jump is not None and jump[0] != 0:
-            shift_nodes += jump[0]
-            u, floor, it = jump[1], 0.0, it + 1
-            continue
+    x0 = R[1] * u  # x0 = R u
+    x0[:-1] += R[0, 1:] * u[1:]
+    x, it, evaluations = minimize(reduced, x0, opts.max_iter, scan_hook)
+    scans = int(it >= SCAN_AT)  # the hook scanned at iteration SCAN_AT
+    shift_nodes, translate = jump
+    # stage 2 stops below tol, but a translated state is polished to the
+    # residual's rounding floor: along the flat drift valley a residual below
+    # tol does not yet pin the centre, nor the energy to 1e-12
+    floor = opts.tol
+    if shift_nodes:
+        u, energy, g, residual = project(translate)
+        floor, it = 0.0, it + 1
+    else:
         u, energy, g, residual = project(dtbtrs(R, x)[0])
 
-        # ---- stage 2: banded Newton finish ----
-        # A near-null Jacobian mode (a state in a constant medium, whose
-        # translation only the walls pin) turns rounding noise in g into a
-        # huge step along that mode.  If the full step is rejected, the step
-        # with the mode removed is tried; one inverse iteration, J^{-2} g,
-        # finds the mode.  If both are rejected, secant steps along the mode
-        # move the state by less than a node (a whole-node translate from a
-        # scan may leave it up to one node off), then Newton resumes.
-        while residual >= floor and it < opts.max_iter:
+    # ---- stage 2: banded Newton finish ----
+    # A near-null Jacobian mode (a state in a constant medium, whose
+    # translation only the walls pin) turns rounding noise in g into a huge
+    # step along that mode.  If the full step is rejected, the step with the
+    # mode removed is tried; one inverse iteration, J^{-2} g, finds the mode.
+    # If both are rejected, secant steps along the mode move the state by
+    # at most a node (the scan's translate may leave it off the minimizer
+    # along the valley), then Newton resumes.
+    while residual >= floor and it < opts.max_iter:
+        try:
+            step, mode = newton(u, g)
+        except LinAlgError:
+            break
+        cand = None
+        for d in (step, step - (mode @ step) * mode):
             try:
-                step, mode = newton(u, g)
-            except LinAlgError:
+                trial = project(u - d)
+            except NonprojectableState:
+                continue
+            if accepts(trial, energy, residual):
+                cand = trial
                 break
-            cand = None
-            for d in (step, step - (mode @ step) * mode):
-                try:
-                    trial = project(u - d)
-                except NonprojectableState:
-                    continue
-                if accepts(trial, energy, residual):
-                    cand = trial
-                    break
-            if cand is None:
-                cand = along_mode(u, energy, residual, g, step, mode)
-            if cand is None:
-                break
-            u, energy, g, residual = cand
-            it += 1
-
-        # ---- a stall above tol: restart from a lower whole-node translate ----
-        if residual < opts.tol or it >= opts.max_iter:
+        if cand is None:
+            cand = along_mode(u, energy, residual, g, step, mode)
+        if cand is None:
             break
-        scans += 1
-        shift, w = op.best_translate(u)
-        if shift == 0:
-            break
-        shift_nodes += shift
-        u, floor, it = w, 0.0, it + 1
+        u, energy, g, residual = cand
+        it += 1
 
     if residual >= opts.tol and opts.strict:
         raise NoConvergence(

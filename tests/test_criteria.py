@@ -176,6 +176,19 @@ def test_shifted_state_shift_out_of_domain(solved_high):
         criteria.shifted_state_criterion(solved_high, m, P3, [25])
 
 
+@pytest.mark.parametrize(
+    "t_list",
+    [[], [1, 1], [2, 4, 2], [2.9, 3.9, 4.9], [2.0, 3.0], [True, 2], [1, "2"]],
+    ids=["empty", "repeat", "repeat-unsorted", "fractional", "float", "bool", "str"],
+)
+def test_shifted_state_rejects_bad_shift_lists(solved_high, t_list):
+    # a fractional shift used to be truncated, and a repeated one made the
+    # decay check compare a row with itself (ratio 1 against e^0)
+    m = compose_interface(SIDE_HIGH, SIDE_LOW)
+    with pytest.raises(ValueError):
+        criteria.shifted_state_criterion(solved_high, m, P3, t_list)
+
+
 def test_shifted_state_lambda_in_spectrum_raises():
     # the solved side has spectrum bottom 1; lambda = 2 lies inside it, so
     # the decay rate kappa of the shifted rows does not exist
