@@ -190,10 +190,17 @@ def parse_config(source) -> ExperimentSpec:
         raise ValidationError("h: must be positive")
     solved = media.get("medium")
     if solved is not None:
-        try:
-            _validate_spectrum(solved, params.lam)
-        except LambdaInSpectrum as exc:
-            raise ValidationError(str(exc)) from exc
+        for i, side in enumerate(solved.sides, 1):
+            try:
+                _validate_spectrum(side, params.lam)
+            except LambdaInSpectrum as exc:
+                raise ValidationError(str(exc)) from exc
+            except SgsLabError as exc:
+                where = "medium" if len(solved.sides) == 1 else f"side{i}"
+                raise ValidationError(
+                    f"{where}: the spectrum bottom of V cannot be computed ({exc}), "
+                    f"so lambda = {params.lam} cannot be checked against it"
+                ) from exc
     L = cfg.get("L_dom")
     if L is None and solved is not None:
         L = _auto_extent([side.V for side in solved.sides], params.lam)

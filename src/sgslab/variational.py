@@ -50,6 +50,12 @@ from .media import (
 )
 
 
+def _check_extent(L_dom: float, h: float):
+    for name, value in (("L_dom", L_dom), ("h", h)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform symmetric grid over [-L_dom, L_dom] with x = 0 a node."""
@@ -59,6 +65,7 @@ class Grid:
     nodes: int
 
     def __post_init__(self):
+        _check_extent(self.L_dom, self.h)
         if self.nodes % 2 != 1:
             raise ValueError("node count must be odd so that x = 0 is a node")
         if abs((self.nodes - 1) * self.h - 2.0 * self.L_dom) > 1e-9 * max(1.0, self.L_dom):
@@ -68,6 +75,7 @@ class Grid:
     def from_extent(cls, L_dom: float, h: float) -> "Grid":
         """Round the node count up to the nearest odd value and adjust h so the
         grid lands exactly on [-L_dom, L_dom]."""
+        _check_extent(L_dom, h)
         half = max(1, int(math.ceil(L_dom / h)))
         nodes = 2 * half + 1
         return cls(L_dom=L_dom, h=2.0 * L_dom / (nodes - 1), nodes=nodes)
@@ -307,10 +315,9 @@ def _seed(grid: Grid, m, op: _Discretization, lam: float, center: float | None) 
 
 
 # stage 1 scans once for a lower whole-node translate, at L-BFGS-B iteration
-# SCAN_AT; the sub-node finish takes at most SECANT_STEPS secant steps, each
-# relaxed by at most RELAX_STEPS Newton steps
+# SCAN_AT; stage 2's move along the near-null mode is relaxed by at most
+# RELAX_STEPS Newton steps
 SCAN_AT = 100
-SECANT_STEPS = 8
 RELAX_STEPS = 3
 
 
@@ -390,9 +397,9 @@ def solve_ground_state(
     leaves.  Stage 2 takes Newton steps on grad J = 0 with the
     tridiagonal Jacobian L - p h Gamma |u|^{p-1}, keeping a step only while it
     lowers the residual and does not raise the projected energy by more than
-    1e-12 relative; a rejected step is retried without the Jacobian's
-    near-null mode, and if that is rejected too, the sub-node finish moves
-    the state along the mode.
+    1e-12 relative; where the full step is rejected, one relaxed move along
+    the Jacobian's near-null mode is tried instead, and where that is
+    rejected too, stage 2 stops.
 
     Where the least energy is only approached by states sliding into one
     medium, the constrained energy has a valley that is almost flat along
@@ -400,8 +407,8 @@ def solve_ground_state(
     a scan scores every whole-node translate of the state once; a strictly
     lower one stops L-BFGS-B, and stage 2 polishes it to the residual's
     rounding floor.  A solve that stops within SCAN_AT iterations never
-    scans.  iterations counts L-BFGS-B iterations, accepted Newton and
-    sub-node steps, and the translation; scans (0 or 1) and shift_nodes
+    scans.  iterations counts L-BFGS-B iterations, accepted Newton steps
+    and mode moves, and the translation; scans (0 or 1) and shift_nodes
     count the scan and the shift it applied.
     The residual is the discrete L2 norm of the interior strong-form residual.
     The result is the critical point reached; its Morse index is not checked.
@@ -448,10 +455,16 @@ def solve_ground_state(
         mode = dgtsv(jac, step)
         return step, mode / math.sqrt(mode @ mode)
 
-    def relaxed(v):
-        """project(v), then Newton steps with the near-null mode removed while
-        they lower the residual, at most RELAX_STEPS."""
-        cur = project(v)
+    def mode_move(u, g, step, mode):
+        """The fallback for a rejected Newton step: u moved along the
+        near-null mode by the step's component on it, downhill and clipped
+        to one node's move |u - u translated one node|, then relaxed off the
+        mode by Newton steps with the mode removed while they lower the
+        residual, at most RELAX_STEPS."""
+        edges = np.diff(u)
+        node = math.sqrt(edges @ edges)
+        t = -math.copysign(min(abs(float(mode @ step)), node), float(mode @ g))
+        cur = project(u + t * mode)
         for _ in range(RELAX_STEPS):
             step, mode = newton(cur[0], cur[2])
             trial = project(cur[0] - step + (mode @ step) * mode)
@@ -459,31 +472,6 @@ def solve_ground_state(
                 break
             cur = trial
         return cur
-
-    def along_mode(u, energy, residual, g, step, mode):
-        """The sub-node finish: secant steps on mode @ grad J along the
-        near-null mode from u, each relaxed off the mode and each within one
-        node's move of u, the first downhill by the Newton step's move along
-        the mode, clipped to a node.  The best state accepted, or None."""
-        edges = np.diff(u)
-        node = math.sqrt(edges @ edges)  # |u - u translated one node|
-        t0, f0 = 0.0, float(mode @ g)
-        t = -math.copysign(min(abs(float(mode @ step)), node), f0)
-        best = None
-        for _ in range(SECANT_STEPS):
-            try:
-                trial = relaxed(u + t * mode)
-            except (NonprojectableState, LinAlgError):
-                break
-            f = float(mode @ trial[2])
-            if accepts(trial, energy, residual):
-                best, residual = trial, trial[3]
-            if abs(f) >= abs(f0):
-                break
-            t0, f0, t = t, f, max(-node, min(node, t - f * (t - t0) / (f - f0)))
-            if t == t0:
-                break
-        return best
 
     jump = (0, None)
 
@@ -515,30 +503,27 @@ def solve_ground_state(
 
     # ---- stage 2: banded Newton finish ----
     # A near-null Jacobian mode (a state in a constant medium, whose
-    # translation only the walls pin) turns rounding noise in g into a huge
-    # step along that mode.  If the full step is rejected, the step with the
-    # mode removed is tried; one inverse iteration, J^{-2} g, finds the mode.
-    # If both are rejected, secant steps along the mode move the state by
-    # at most a node (the scan's translate may leave it off the minimizer
-    # along the valley), then Newton resumes.
+    # translation only the walls pin, or one in a drift valley) turns
+    # rounding noise in g into a huge step along that mode; one inverse
+    # iteration, J^{-2} g, finds the mode.  Where the full step is rejected,
+    # the mode move takes the state at most a node along the valley instead
+    # (the scan's translate may leave it off the minimizer there), and Newton
+    # resumes from it.
     while residual >= floor and it < opts.max_iter:
         try:
             step, mode = newton(u, g)
+            cand = project(u - step)
         except LinAlgError:
             break
-        cand = None
-        for d in (step, step - (mode @ step) * mode):
+        except NonprojectableState:
+            cand = None
+        if cand is None or not accepts(cand, energy, residual):
             try:
-                trial = project(u - d)
-            except NonprojectableState:
-                continue
-            if accepts(trial, energy, residual):
-                cand = trial
+                cand = mode_move(u, g, step, mode)
+            except (NonprojectableState, LinAlgError):
                 break
-        if cand is None:
-            cand = along_mode(u, energy, residual, g, step, mode)
-        if cand is None:
-            break
+            if not accepts(cand, energy, residual):
+                break
         u, energy, g, residual = cand
         it += 1
 

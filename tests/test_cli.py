@@ -450,6 +450,27 @@ def test_cli_lambda_in_spectrum_exits_2(tmp_path, capsys, kind, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "raw, where",
+    [
+        ({"kind": "groundstate", "medium": {"V": 7e4, "Gamma": 1.0}}, "medium"),
+        (dict(SIDES, kind="interface", side2={"V": 1e5, "Gamma": 1.0}), "side2"),
+    ],
+    ids=["groundstate", "interface"],
+)
+def test_cli_uncomputable_spectrum_bottom_exits_2(tmp_path, capsys, raw, where, command):
+    # the bottom's bracket starts at lambda = -sup V - 10, where the monodromy
+    # determinant of so deep a V is NaN: the gate cannot decide, which is bad
+    # input naming the side, not a traceback
+    cfg = write_cfg(tmp_path, "deep_v.json", raw)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, cfg, *out]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: {where}: the spectrum bottom of V cannot be computed" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("tol", "x"), ("max_iter", "many"), ("h", None), ("L_dom", "ten"), ("tau", [0.25]),

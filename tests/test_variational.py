@@ -60,6 +60,20 @@ def test_grid_alignment():
     assert g.x[0] == -10.0 and g.x[-1] == 10.0
 
 
+@pytest.mark.parametrize(
+    "L_dom, h",
+    [(5.0, -0.1), (-5.0, 0.1), (5.0, 0.0), (0.0, 0.1), (math.nan, 0.1), (5.0, math.inf)],
+    ids=["h-negative", "L-negative", "h-zero", "L-zero", "L-nan", "h-inf"],
+)
+def test_grid_rejects_a_non_positive_or_non_finite_extent(L_dom, h):
+    # a negative h once gave h = 5 on 3 nodes, a negative L_dom a decreasing
+    # grid, and h = 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        Grid.from_extent(L_dom, h)
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        Grid(L_dom=L_dom, h=h, nodes=3)
+
+
 @pytest.mark.parametrize("end", [0, -1])
 def test_grid_function_rejects_nonzero_end(grid, end):
     vals = np.zeros(grid.nodes)
@@ -264,6 +278,17 @@ def test_solver_pinned_energies(grid, medium, tol, seed_center, energy):
     g = grad_J(res.state, medium, P3)[1:-1]
     residual = float(np.linalg.norm(g / grid.h)) * math.sqrt(grid.h)
     assert residual == pytest.approx(res.residual, rel=1e-6)
+
+
+def test_wall_pinned_state_finished_by_the_mode_move():
+    # in a constant medium only the walls pin the state's translation, so the
+    # Jacobian has a near-null mode; the last Newton step is rejected and the
+    # relaxed move along that mode finishes a solve that never scans
+    medium = PeriodicMedium(FunctionDescriptor(const=1.2), FunctionDescriptor(const=2.0))
+    res = solve_ground_state(medium, P3, Grid.from_extent(10.0, 0.04), SolverOptions(tol=1e-8))
+    assert res.residual < 1e-8
+    assert res.scans == 0
+    assert res.energy_c <= 0.8762579012761251 * (1.0 + 1e-12)
 
 
 @pytest.fixture(scope="module")
