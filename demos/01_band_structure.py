@@ -33,7 +33,7 @@ for lam in np.linspace(bottom - 4.0, bottom + 1.0, 11):
         M, _, kappa = bloch.floquet_exponent(V, lam)
         print(f"{lam:>10.4f}  {M.trace:>14.6f}  {kappa:>12.6f}")
     else:
-        print(f"{lam:>10.4f}  {bloch.discriminant(V, lam):>14.6f}  {'(in band)':>12}")
+        print(f"{lam:>10.4f}  {bloch.monodromy(V, lam).trace:>14.6f}  {'(in band)':>12}")
 print()
 
 # ---------------------------------------------------------------------------

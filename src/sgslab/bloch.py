@@ -12,20 +12,20 @@ from V at two Gauss points.  It is exact wherever V is constant (a piecewise V
 gets its breakpoints as nodes), so the step count follows V's harmonics, not
 lambda.  The steps are four arrays of entries, built in chunks from + and *
 alone and multiplied pairwise in a fixed order, each 2x2 product written out:
-neither the BLAS kernel nor numpy's SIMD target decides any bit here.  The
-periodic factors come from one more propagation, over the sample intervals:
-the blocks scaled by exp(-kappa dx) carry exp(-kappa x) u_minus forward, and
-their adjugates, scaled alike, carry exp(kappa (x - 1)) u_plus backward, each
-the way its mode grows, so both stay in range.  spectrum_min is memoized.
+neither the BLAS kernel nor numpy's SIMD target decides any bit here.  One
+propagation serves both: the monodromy is the ordered product of the blocks
+across the sample intervals, the blocks scaled by exp(-kappa dx) carry
+exp(-kappa x) u_minus forward, and their adjugates, scaled alike, carry
+exp(kappa (x - 1)) u_plus backward, each the way its mode grows, so both stay
+in range.  check_below_spectrum is the one spectral gate.
 
-floquet_exponent stops where kappa is known: spectrum gate, monodromy (its
-finiteness and Liouville det = 1 are checked on every call) and the
-discriminant.  Callers that need only kappa or the discriminant (bloch scans,
-the automatic domain extent, the shifted-state decay rate) use it alone;
-bloch_modes adds the factor propagation and its two sweeps, and checks the
-positivity of p_pm and the constancy of their Wronskian wherever they are built.
-spectrum_min locates the band edge by Brent's method, the compiled root finder
-that _kernels loads.
+floquet_exponent stops where kappa is known: gate, monodromy (finiteness and
+Liouville det = 1 checked on every call) and discriminant.  Callers that need
+only kappa (bloch scans, the automatic domain extent, the shifted-state decay
+rate) use it alone; bloch_modes takes kappa the same way from its own blocks,
+adds the two sweeps and checks the positivity of p_pm and the constancy of
+their Wronskian.  spectrum_min, memoized, finds the band edge by Brent's
+method, the compiled root finder that _kernels loads.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ _COSH, _SINHC = ([1.0 / math.factorial(2 * j + i) for j in range(7, -1, -1)] for
 _OVERFLOW_IS_CHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
-def _step_count(V: FunctionDescriptor, steps: int | None) -> int:
-    if steps is not None:
-        return int(steps)
+def _step_count(V: FunctionDescriptor) -> int:
     # a Magnus step is exact for a constant q, so its error does not grow with |lambda|:
     # about 0.1 (g h^2)^2 relative, g = sum of n |a_n| over the harmonics (|V'| <= 2 pi g;
     # 0 for a piecewise V, whose breakpoints are nodes).  n = 1024 ceil(sqrt g) keeps it ~1e-13
@@ -198,11 +196,15 @@ def _sweep(s, y, v):
     return np.array([ys, vs])
 
 
-def monodromy(V: FunctionDescriptor, lam: float, steps: int | None = None) -> MonodromyMatrix:
-    """Propagate the fundamental system of -u'' + (V - lambda) u = 0 from
-    x = 0 to x = 1: the ordered product of the Magnus step matrices."""
-    n = _step_count(V, steps)
-    M = MonodromyMatrix(*map(float, _product(_propagators(V, n, math.gcd(n, _CHUNK), lam))))
+def _blocks(V: FunctionDescriptor, lam: float, samples: int):
+    """Propagators across samples - 1 equal intervals of [0, 1], of equally many steps."""
+    per_block = max(1, round(_step_count(V) / (samples - 1)))
+    return _propagators(V, per_block * (samples - 1), per_block, lam)
+
+
+def _checked_monodromy(s, lam: float) -> MonodromyMatrix:
+    """The ordered product of the block propagators s, checked finite and of det 1."""
+    M = MonodromyMatrix(*map(float, _product(s)))
     if not all(map(math.isfinite, (M.m11, M.m12, M.m21, M.m22))):
         raise IntegrationFailure(f"monodromy propagation diverged at lambda = {lam}")
     # Liouville: det must be 1; the float cancellation error in the 2x2
@@ -214,8 +216,10 @@ def monodromy(V: FunctionDescriptor, lam: float, steps: int | None = None) -> Mo
     return M
 
 
-def discriminant(V: FunctionDescriptor, lam: float, steps: int | None = None) -> float:
-    return monodromy(V, lam, steps).trace
+def monodromy(V: FunctionDescriptor, lam: float) -> MonodromyMatrix:
+    """Fundamental system of -u'' + (V - lambda) u = 0 from x = 0 to x = 1: the
+    product of bloch_modes' blocks at its default samples, so the two agree bit for bit."""
+    return _checked_monodromy(_blocks(V, lam, DEFAULT_SAMPLES), lam)
 
 
 @functools.lru_cache(maxsize=256)
@@ -225,7 +229,7 @@ def spectrum_min(V: FunctionDescriptor) -> float:
     hashable) descriptor: the spectrum checks of a run repeat it."""
     sup = V.sup_norm()
     lo, hi = -sup - 10.0, sup + 10.0
-    f = lambda lam: discriminant(V, lam) - 2.0
+    f = lambda lam: monodromy(V, lam).trace - 2.0
     grid = np.linspace(lo, hi, 41)
     vals = np.array([f(g) for g in grid])
     if vals[0] <= 0.0:
@@ -248,14 +252,15 @@ def _eigvec(m11, m12, m21, m22, rho):
     return pick[0] / nrm, pick[1] / nrm
 
 
-def floquet_exponent(V: FunctionDescriptor, lam: float, steps: int | None = None):
-    """(M, rho, kappa) for lambda below the spectrum of -d^2/dx^2 + V: the
-    monodromy, its larger Floquet multiplier and the decay exponent
-    kappa = log rho (stabler than arccosh of half the trace near the band
-    edge).  Only the monodromy is propagated; the periodic factors are not."""
-    if lam >= spectrum_min(V):
-        raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom")
-    M = monodromy(V, lam, steps)
+def check_below_spectrum(V: FunctionDescriptor, lam: float) -> None:
+    """The spectral gate: LambdaInSpectrum unless lambda is below sigma(-d^2/dx^2 + V)."""
+    bottom = spectrum_min(V)
+    if lam >= bottom:
+        raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom {bottom}")
+
+
+def _exponent(M: MonodromyMatrix, lam: float):
+    """(M, rho, kappa) from a checked monodromy, for floquet_exponent and bloch_modes alike."""
     delta = M.trace
     if delta <= 2.0:
         raise LambdaInSpectrum(f"discriminant {delta} <= 2 at lambda = {lam}")
@@ -267,25 +272,31 @@ def floquet_exponent(V: FunctionDescriptor, lam: float, steps: int | None = None
     return M, rho, math.log(rho)
 
 
-def bloch_modes(V: FunctionDescriptor, lam: float, samples: int = DEFAULT_SAMPLES,
-                steps: int | None = None) -> BlochData:
-    """Bloch modes of -d^2/dx^2 + V - lambda for lambda below the spectrum:
-    kappa from `floquet_exponent`, and the periodic factors, normalized to
-    sup-norm 1 and positive, from one more propagation over the sample
-    intervals, swept forward for p_minus and, through the adjugate blocks,
-    backward for p_plus."""
-    M, rho_big, kappa = floquet_exponent(V, lam, steps)
+def floquet_exponent(V: FunctionDescriptor, lam: float):
+    """(M, rho, kappa) for lambda below the spectrum of -d^2/dx^2 + V: the
+    monodromy, its larger Floquet multiplier and the decay exponent
+    kappa = log rho (stabler than arccosh of half the trace near the band
+    edge).  Only the monodromy is formed; the periodic factors are not."""
+    check_below_spectrum(V, lam)
+    return _exponent(monodromy(V, lam), lam)
 
-    n_total = _step_count(V, steps)
-    n_sub = max(1, int(round(n_total / (samples - 1))))
-    n_total = n_sub * (samples - 1)
-    s11, s12, s21, s22 = _propagators(V, n_total, n_sub, lam)
+
+def bloch_modes(V: FunctionDescriptor, lam: float, samples: int = DEFAULT_SAMPLES) -> BlochData:
+    """Bloch modes of -d^2/dx^2 + V - lambda for lambda below the spectrum from
+    one propagation: kappa from the product of the sample-interval blocks, and
+    the periodic factors, normalized to sup-norm 1 and positive, swept forward
+    through the blocks (p_minus) and backward through their adjugates (p_plus)."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValueError(f"samples: expected an integer at least 2, got {samples!r}")
+    check_below_spectrum(V, lam)
+    s11, s12, s21, s22 = s = _blocks(V, lam, samples)
+    M, rho_big, kappa = _exponent(_checked_monodromy(s, lam), lam)
     f = math.exp(-kappa / (samples - 1))
 
     # mode decaying at -inf: eigenvector of M for the large multiplier; the
     # blocks scaled by f carry exp(-kappa x) (u, u') forward
     u0, du0 = _eigvec(M.m11, M.m12, M.m21, M.m22, rho_big)
-    pm, dpm = _sweep(tuple(f * a for a in (s11, s12, s21, s22)), u0, du0)
+    pm, dpm = _sweep(tuple(f * a for a in s), u0, du0)
     dpm = dpm - kappa * pm
 
     # mode decaying at +inf: eigenvector of M^{-1} for the large multiplier

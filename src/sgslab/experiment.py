@@ -42,7 +42,7 @@ from .media import (
     dislocate,
     eval_medium,
 )
-from .variational import Grid, SolverOptions, _validate_spectrum, solve_ground_state
+from .variational import Grid, SolverOptions, solve_ground_state
 
 KINDS = ("bloch", "groundstate", "interface", "criteria", "dislocation", "sweep")
 # the top-level fields a sweep row's parse_config reads
@@ -178,6 +178,9 @@ def parse_config(source) -> ExperimentSpec:
         if name not in SWEEP_FIELDS:
             raise ValidationError(f"sweep.parameter: expected one of {SWEEP_FIELDS}, got {name!r}")
         spec.sweep = (name, list(axis["values"]))
+        base = cfg.get("base_kind", "groundstate")
+        if base not in KINDS[:-1]:   # every kind but sweep
+            raise ValidationError(f"base_kind: expected one of {KINDS[:-1]}, got {base!r}")
 
     if "lambda_list" in cfg:
         values = cfg["lambda_list"]
@@ -192,7 +195,7 @@ def parse_config(source) -> ExperimentSpec:
     if solved is not None:
         for i, side in enumerate(solved.sides, 1):
             try:
-                _validate_spectrum(side, params.lam)
+                bloch.check_below_spectrum(side.V, params.lam)
             except LambdaInSpectrum as exc:
                 raise ValidationError(str(exc)) from exc
             except SgsLabError as exc:

@@ -37,7 +37,6 @@ from numpy.linalg import LinAlgError
 from . import bloch
 from ._kernels import dgtsv, dpbtrf, dtbtrs, setulb
 from .errors import (
-    LambdaInSpectrum,
     NoConvergence,
     NonprojectableState,
     TailNotResolved,
@@ -321,15 +320,6 @@ SCAN_AT = 100
 RELAX_STEPS = 3
 
 
-def _validate_spectrum(m, lam: float):
-    """The spectral gate: lambda below min sigma(-d^2/dx^2 + V) of every side
-    of m.  parse_config runs it too, so a config fails before any solve."""
-    for side in m.sides:
-        bottom = bloch.spectrum_min(side.V)
-        if lam >= bottom:
-            raise LambdaInSpectrum(f"lambda = {lam} is not below the spectrum bottom {bottom}")
-
-
 def minimize(fg, x0: np.ndarray, max_iter: int, hook=None) -> tuple[np.ndarray, int, int]:
     """Unbounded L-BFGS-B (memory 10) on fg(x) -> (f, grad f) from x0.
 
@@ -414,7 +404,8 @@ def solve_ground_state(
     The result is the critical point reached; its Morse index is not checked.
     """
     opts = opts or SolverOptions()
-    _validate_spectrum(m, params.lam)
+    for side in m.sides:
+        bloch.check_below_spectrum(side.V, params.lam)
 
     p, h = params.p, grid.h
     op = _Discretization.of(m, params, grid)

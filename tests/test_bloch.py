@@ -4,6 +4,7 @@ import cmath
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ def test_spectrum_min_constant():
 def test_spectrum_min_mathieu():
     lam = bloch.spectrum_min(V_MATHIEU)
     assert 0.5 < lam < 1.5
-    assert bloch.discriminant(V_MATHIEU, lam) == pytest.approx(2.0, abs=1e-8)
+    assert bloch.monodromy(V_MATHIEU, lam).trace == pytest.approx(2.0, abs=1e-8)
 
 
 def test_bloch_modes_constant_reference():
@@ -73,8 +74,18 @@ def test_bloch_modes_band_edge_kappa_small():
 
 
 def test_lambda_in_spectrum_rejected():
-    with pytest.raises(LambdaInSpectrum):
-        bloch.bloch_modes(V_CONST, 1.5)
+    # one gate, whose message names the bottom
+    message = f"lambda = 1.5 is not below the spectrum bottom {bloch.spectrum_min(V_CONST)}"
+    for f in (bloch.bloch_modes, bloch.floquet_exponent, bloch.check_below_spectrum):
+        with pytest.raises(LambdaInSpectrum, match=f"^{re.escape(message)}$"):
+            f(V_CONST, 1.5)
+
+
+@pytest.mark.parametrize("samples", [1, True, 0, -3, 2.5])
+def test_bloch_modes_rejects_a_sample_count_that_is_not_an_integer_from_2(samples):
+    # these used to raise ZeroDivisionError, an unrelated unpacking error or TypeError
+    with pytest.raises(ValueError, match="^samples: expected an integer at least 2"):
+        bloch.bloch_modes(V_CONST, -1.0, samples=samples)
 
 
 def test_kappa_bounds():
@@ -95,7 +106,7 @@ def test_wronskian_constant_along_period():
 
 def test_discriminant_monotone_below_bottom():
     lams = np.linspace(-10.0, 0.9, 12)
-    ds = [bloch.discriminant(V_MATHIEU, lam) for lam in lams]
+    ds = [bloch.monodromy(V_MATHIEU, lam).trace for lam in lams]
     assert all(a > b + 1e-8 for a, b in zip(ds, ds[1:]))
 
 
@@ -124,7 +135,7 @@ def test_kappa_finite_where_the_squared_trace_overflows(lam):
 def test_infinite_floquet_multiplier_is_an_integration_failure(monkeypatch):
     bloch.spectrum_min(V_CONST)   # memoized before monodromy is replaced
     M = bloch.MonodromyMatrix(1.5e308, 0.0, 0.0, 1.5e308)   # finite entries, trace inf
-    monkeypatch.setattr(bloch, "monodromy", lambda V, lam, steps=None: M)
+    monkeypatch.setattr(bloch, "monodromy", lambda V, lam: M)
     with pytest.raises(IntegrationFailure, match="Floquet multiplier inf"):
         bloch.floquet_exponent(V_CONST, -1.0)
 
@@ -144,7 +155,8 @@ def test_p_plus_is_p_minus_of_the_reflected_potential(V):
         assert np.max(np.abs(bd.dp_plus + mirror.dp_minus[::-1])) <= 1e-12
 
 
-def test_bloch_modes_propagates_the_potential_once_beyond_the_monodromy(monkeypatch):
+def test_bloch_modes_propagates_the_potential_once(monkeypatch):
+    # the monodromy is the product of the blocks the factor sweeps use
     V = V_TWO
     assert V.reflected() != V
     bloch.spectrum_min(V)
@@ -157,12 +169,16 @@ def test_bloch_modes_propagates_the_potential_once_beyond_the_monodromy(monkeypa
 
     monkeypatch.setattr(bloch, "_propagators", counted)
     bloch.bloch_modes(V, -3.0)
-    assert seen == [V, V]
+    assert seen == [V]
+
+
+def _monodromy_of(V, lam, n):
+    """The checked monodromy of n uniform Magnus steps."""
+    return bloch._checked_monodromy(bloch._propagators(V, n, 1, lam), lam)
 
 
 def test_step_halving_converged():
-    k1 = bloch.bloch_modes(V_MATHIEU, -5.0, steps=4096).kappa
-    k2 = bloch.bloch_modes(V_MATHIEU, -5.0, steps=8192).kappa
+    k1, k2 = (bloch._exponent(_monodromy_of(V_MATHIEU, -5.0, n), -5.0)[2] for n in (4096, 8192))
     assert abs(k1 - k2) <= 1e-9
 
 
@@ -257,10 +273,10 @@ def test_discriminant_accuracy_does_not_depend_on_lambda():
     # from half a unit below the band edge to lambda = -1e4
     for V in (V_MATHIEU, FunctionDescriptor(const=1.0, cos=((1, -0.3), (3, 0.5))),
               FunctionDescriptor(const=0.3, sin=((3, 1.1),))):
-        bottom, n = bloch.spectrum_min(V), bloch._step_count(V, None)
+        bottom, n = bloch.spectrum_min(V), bloch._step_count(V)
         for lam in (bottom - 0.5, -5.0, -100.0, -1e3, -1e4):
-            ref = bloch.discriminant(V, lam, steps=16 * n)
-            assert bloch.discriminant(V, lam) == pytest.approx(ref, rel=1e-12)
+            ref = _monodromy_of(V, lam, 16 * n).trace
+            assert bloch.monodromy(V, lam).trace == pytest.approx(ref, rel=1e-12)
 
 
 def test_spectrum_min_memoized_across_bloch_modes():
@@ -299,7 +315,7 @@ def test_step_matrix_products_match_scalar_loop():
     for y0, v0 in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8)):
         ref = _magnus_loop(V_MATHIEU, lam, n, y0, v0)
         assert S @ [y0, v0] == pytest.approx(ref, rel=1e-13, abs=1e-13)
-    M = bloch.monodromy(V_MATHIEU, lam, steps=n)
+    M = _monodromy_of(V_MATHIEU, lam, n)
     ref = np.array([_magnus_loop(V_MATHIEU, lam, n, 1.0, 0.0),
                     _magnus_loop(V_MATHIEU, lam, n, 0.0, 1.0)]).T
     assert [M.m11, M.m12, M.m21, M.m22] == pytest.approx(ref.ravel().tolist(), rel=1e-13)

@@ -180,6 +180,22 @@ def test_sweep_parameter_must_be_a_config_field(tmp_path, capsys, command, param
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("base_kind", ["groundstat", "sweep"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_sweep_base_kind_must_be_a_kind_a_row_runs(tmp_path, capsys, command, base_kind):
+    # unchecked, validate said "config ok" and run exited 0 with every row an error
+    raw = {
+        "kind": "sweep", "base_kind": base_kind, "medium": {"V": 1.0, "Gamma": 1.0},
+        "h": 0.08, "sweep": {"parameter": "lambda", "values": [-1.0, -2.0]},
+    }
+    with pytest.raises(ValidationError, match="^base_kind"):
+        parse_config(raw)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, write_cfg(tmp_path, "sweep.json", raw), *out]) == 2
+    assert "validation error: base_kind" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_empty_lambda_list_is_a_validation_error(tmp_path, capsys):
     # not a scan at the base lambda
     raw = {"kind": "bloch", "V": 1.0, "lambda": -1.0, "lambda_list": []}

@@ -4,6 +4,7 @@ certificate, on random trigonometric (up to 3 harmonics) and piecewise
 dislocation criteria, and of the Floquet data below the spectrum."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -229,6 +230,7 @@ harmonics = st.builds(
 # each example costs a spectrum bottom, so half the examples
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(harmonics, st.floats(-3.0, 4.0))
+@example(trig(0.0, [("cos", 5, 1.0)]), 0.0)   # three Magnus steps per sample interval
 def test_floquet_data_below_the_spectrum(V, depth):
     # Liouville, the comparison bounds sqrt(inf V - lambda) <= kappa <=
     # sqrt(sup V - lambda) (the lower one void above inf V), and the positivity
@@ -240,5 +242,15 @@ def test_floquet_data_below_the_spectrum(V, depth):
     assert abs(M.det - 1.0) <= 1e-12 * M.norm**2
     lo, hi = math.sqrt(max(0.0, V.inf_bound() - lam)), math.sqrt(V.sup_bound() - lam)
     assert lo - 1e-10 <= kappa <= hi + 1e-10
-    bd = bloch.bloch_modes(V, lam)
+    # bloch_modes forms the same monodromy from its own blocks, bit for bit
+    formed, exponent = [], bloch._exponent
+
+    def recorded(M, lam):
+        formed.append(M)
+        return exponent(M, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bloch, "_exponent", recorded)
+        bd = bloch.bloch_modes(V, lam)
+    assert [[x.hex() for x in astuple(m)] for m in formed] == [[x.hex() for x in astuple(M)]]
     assert bd.kappa == kappa and bd.p_plus.min() > 0.0 and bd.p_minus.min() > 0.0
